@@ -3,8 +3,9 @@
 Wires the pieces together: split the edges, drop the held-out positives from
 the message-passing graph, fit the image grid to the training-positive
 diagrams, then train the topology-augmented predictor. The topology-ablated
-variant runs the identical procedure with zero images, so paired seed
-comparisons isolate the contribution of the persistence features.
+variant trains the identical model on zero images, so paired seed
+comparisons isolate the contribution of the persistence features; it computes
+no curvature and no diagrams, since nothing would read them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from .graphs import Graph
 from .images import ImageSpec, spec_for_diagrams
 from .model import DataSplit, TrainConfig, TrainResult, make_split, train
 from .pipeline import (
+    METRICS,
     CachedImageProvider,
     ZeroImageProvider,
     apply_ricci_weights,
@@ -26,6 +28,14 @@ DEFAULT_RICCI_ALPHA = 0.5
 
 @dataclass
 class ExperimentResult:
+    """Training outcome, the split it used and the image grid.
+
+    ``image_spec`` is the grid fitted to the training-positive diagrams. The
+    ablated run computes no diagrams, so its ``image_spec`` is the unfitted
+    grid ``ImageSpec(resolution=resolution)``; only its ``dim`` reaches
+    training.
+    """
+
     train_result: TrainResult
     split: DataSplit
     image_spec: ImageSpec
@@ -52,22 +62,25 @@ def run_link_prediction(
     """Split, featurize, and train on one graph; deterministic per config seed."""
     if g.node_features is None:
         raise ValueError("graph must carry node features")
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     config = config or TrainConfig()
     split = make_split(g, seed=config.seed)
     train_graph = g.without_edges(split.val_pos + split.test_pos)
-    feature_graph = (
-        apply_ricci_weights(train_graph, ricci_alpha) if metric == "ricci" else train_graph
-    )
 
-    train_diagrams = [
-        pair_diagram(feature_graph, u, v, k, metric) for u, v in split.train_pos
-    ]
-    image_spec = spec_for_diagrams(
-        [d for d, _size in train_diagrams], resolution=resolution, sigma=sigma
-    )
     if ablate_topology:
+        image_spec = ImageSpec(resolution=resolution)
         provider = ZeroImageProvider(image_spec.dim)
     else:
+        feature_graph = (
+            apply_ricci_weights(train_graph, ricci_alpha) if metric == "ricci" else train_graph
+        )
+        train_diagrams = [
+            pair_diagram(feature_graph, u, v, k, metric) for u, v in split.train_pos
+        ]
+        image_spec = spec_for_diagrams(
+            [d for d, _size in train_diagrams], resolution=resolution, sigma=sigma
+        )
         provider = CachedImageProvider(feature_graph, k, metric, image_spec)
         for (u, v), (diagram, _size) in zip(split.train_pos, train_diagrams):
             provider.seed_diagram(u, v, diagram)

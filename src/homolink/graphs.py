@@ -8,6 +8,7 @@ after construction, so concurrent read-only use is safe.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -23,7 +24,7 @@ def canonical_edge(u: int, v: int) -> Edge:
 
 @dataclass(eq=False)
 class Graph:
-    """Simple undirected graph with optional positive edge weights and node features.
+    """Simple undirected graph with optional positive finite edge weights and node features.
 
     Weights default to 1.0 for edges absent from ``edge_weights``.
     ``node_features`` is an optional (n, d) float matrix.
@@ -56,8 +57,8 @@ class Graph:
         for e, w in self.edge_weights.items():
             if e not in seen:
                 raise ValueError(f"weight given for absent edge {e}")
-            if not w > 0:
-                raise ValueError(f"nonpositive weight {w} on edge {e}")
+            if not (w > 0 and math.isfinite(w)):
+                raise ValueError(f"weight {w} on edge {e} is not positive and finite")
         if self.node_features is not None:
             X = np.asarray(self.node_features, dtype=float)
             if X.ndim != 2 or X.shape[0] != self.n:

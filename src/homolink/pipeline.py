@@ -9,6 +9,7 @@ subgraph inherits them. With ``metric="hop"`` distances count hops.
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -20,6 +21,8 @@ from .filtration import build_filtration, distance_sum_filter
 from .graphs import Graph, canonical_edge, enclosing_subgraph
 from .images import ImageSpec, persistence_image
 from .ricci import ricci_edge_weights
+
+logger = logging.getLogger(__name__)
 
 METRICS = ("hop", "ricci")
 
@@ -36,6 +39,8 @@ class PairFeature:
 
 def apply_ricci_weights(g: Graph, alpha: float = 0.5) -> Graph:
     """Graph with edge weights replaced by 1 + Ollivier-Ricci curvature."""
+    if g.edge_weights:
+        logger.warning("replacing %d input edge weights with Ricci weights", len(g.edge_weights))
     return g.with_weights(ricci_edge_weights(g, alpha))
 
 

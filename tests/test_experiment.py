@@ -1,0 +1,39 @@
+import pytest
+
+import homolink.experiment as experiment
+import homolink.pipeline as pipeline
+import homolink.ricci as ricci
+from homolink.graphs import sbm_generate
+from homolink.images import ImageSpec
+from homolink.model import TrainConfig
+
+
+def small_graph():
+    return sbm_generate(40, 2, 0.4, 0.05, 4, seed=3)
+
+
+def test_ablated_variant_does_no_topological_work(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the ablated variant computed a topological input")
+
+    for module, name in [
+        (ricci, "ricci_edge_weights"),
+        (pipeline, "ricci_edge_weights"),
+        (pipeline, "pair_diagram"),
+        (experiment, "pair_diagram"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    config = TrainConfig(epochs=3, patience=5, seed=0)
+    result = experiment.run_link_prediction(
+        small_graph(), k=1, metric="ricci", config=config, ablate_topology=True
+    )
+    assert result.image_spec == ImageSpec(resolution=(5, 5))
+    assert len(result.train_result.history) == 3
+
+
+def test_unknown_metric_rejected_in_both_variants():
+    for ablate in (False, True):
+        with pytest.raises(ValueError):
+            experiment.run_link_prediction(
+                small_graph(), metric="euclidean", ablate_topology=ablate
+            )

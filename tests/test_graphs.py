@@ -26,6 +26,14 @@ def test_graph_rejects_self_loops_and_duplicates():
         Graph(2, [(0, 1)], edge_weights={(0, 1): -2.0})
 
 
+def test_graph_rejects_nonfinite_weights():
+    # an infinite weight used to pass and flatten the weighted filter
+    with pytest.raises(ValueError):
+        Graph(3, [(0, 1), (1, 2)], {(0, 1): math.inf})
+    with pytest.raises(ValueError):
+        Graph(3, [(0, 1), (1, 2)], {(0, 1): math.nan})
+
+
 def test_shortest_distances_path_graph():
     g = Graph(3, [(0, 1), (1, 2)])
     assert shortest_distances(g, 0).tolist() == [0.0, 1.0, 2.0]

@@ -48,6 +48,13 @@ def test_edge_list_parse_errors(tmp_path):
         read_edge_list(path)
 
 
+def test_edge_list_rejects_infinite_weight(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_text("0 1 inf\n1 2\n")
+    with pytest.raises(ValueError):
+        read_edge_list(path)
+
+
 def test_edge_list_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "edges.txt"
     path.write_text("# header\n\n0 1\n")

@@ -53,6 +53,15 @@ def test_pair_feature_rejects_unknown_metric():
         pair_feature(g, 0, 2, 1, metric="euclidean", spec=SPEC)
 
 
+def test_ricci_weights_warn_when_replacing_input_weights(caplog):
+    g = Graph(3, [(0, 1), (1, 2)])
+    with caplog.at_level("WARNING", logger="homolink.pipeline"):
+        apply_ricci_weights(g, alpha=0.5)
+        assert not caplog.records
+        apply_ricci_weights(g.with_weights({(0, 1): 2.0}), alpha=0.5)
+    assert "replacing 1 input edge weights" in caplog.text
+
+
 def test_ricci_metric_uses_installed_weights():
     g = sbm_generate(30, 3, 0.5, 0.1, 0, seed=8)
     weighted = apply_ricci_weights(g, alpha=0.5)

@@ -1,6 +1,14 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
+from homolink import ricci
 from homolink.graphs import Graph
 from homolink.ricci import (
     DiscreteMeasure,
@@ -146,3 +154,86 @@ def test_alpha_out_of_range():
     g = Graph(2, [(0, 1)])
     with pytest.raises(ValueError):
         ollivier_ricci(g, alpha=1.0)
+
+
+# --------------------------------------------------------------------------
+# Closed forms and the per-edge oracle for the batched transport
+
+
+@st.composite
+def trees(draw):
+    n = draw(st.integers(2, 14))
+    return Graph(n, [(draw(st.integers(0, i - 1)), i) for i in range(1, n)])
+
+
+@st.composite
+def small_graphs(draw):
+    """Graphs of up to 12 nodes with at least one edge; leaves, isolated nodes
+    and several components all occur."""
+    n = draw(st.integers(2, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, k in zip(pairs, keep) if k] or [(0, 1)]
+    return Graph(n, edges)
+
+
+def hop_matrix(g: Graph) -> np.ndarray:
+    rows, cols = zip(*g.edges)
+    A = csr_matrix((np.ones(g.num_edges), (rows, cols)), shape=(g.n, g.n))
+    return shortest_path(A, unweighted=True, directed=False)
+
+
+@settings(deadline=None, max_examples=40)
+@given(trees())
+def test_tree_curvature_closed_form(g):
+    """On a tree at alpha = 1/2, kappa(x, y) = 1/d_x + 1/d_y - 1.
+
+    Write a_i for the other neighbors of x and b_j for those of y; on a tree
+    they are distinct and d(a_i, b_j) = 3. The plan that moves the
+    (d_x - 1)/(2 d_x) on the a_i to y (2 hops) and the surplus
+    1/2 - 1/(2 d_y) at x to the b_j (2 hops) costs 2 - 1/d_x - 1/d_y. The
+    1-Lipschitz potential f = 0 on the a_i, 1 at x, 2 at y, 3 on the b_j
+    certifies the same value, so it is W1.
+    """
+    kappa = ollivier_ricci(g, alpha=0.5)
+    for x, y in g.edges:
+        want = 1.0 / g.degree(x) + 1.0 / g.degree(y) - 1.0
+        assert kappa[(x, y)] == pytest.approx(want, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 9), st.floats(0.0, 0.95))
+def test_complete_graph_curvature_closed_form(n, alpha):
+    """On K_n, kappa = 1 - |alpha - (1 - alpha)/(n - 1)|: the two measures agree
+    except at x and y, which are one hop apart."""
+    g = Graph(n, list(itertools.combinations(range(n), 2)))
+    want = 1.0 - abs(alpha - (1.0 - alpha) / (n - 1))
+    for k in ollivier_ricci(g, alpha).values():
+        assert k == pytest.approx(want, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_graphs(), st.sampled_from([0.0, 0.25, 0.5, 0.9]), st.integers(1, 5))
+def test_batched_curvature_matches_per_edge_transport(g, alpha, chunk):
+    """Every chunking gives the curvature of a one-edge LP on BFS hop costs."""
+    D = hop_matrix(g)
+    with mock.patch.object(ricci, "EDGE_CHUNK", chunk):
+        kappa = ollivier_ricci(g, alpha)
+    assert list(kappa) == g.edges
+    for x, y in g.edges:
+        mu = lazy_walk_measure(g, x, alpha)
+        nu = lazy_walk_measure(g, y, alpha)
+        cost = {(s, t): D[s, t] for s in mu.support for t in nu.support}
+        assert kappa[(x, y)] == pytest.approx(1.0 - wasserstein1(mu, nu, cost), abs=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(small_graphs())
+def test_closed_form_costs_are_hop_distances(g):
+    D = hop_matrix(g)
+    nbrs = [set(adj) for adj in g.adjacency]
+    for x, y in g.edges:
+        _a, _b, C = ricci._edge_block(g, nbrs, x, y, 0.5)
+        src = [x, *g.neighbors(x)]
+        dst = [y, *g.neighbors(y)]
+        assert np.array_equal(C, D[np.ix_(src, dst)])
