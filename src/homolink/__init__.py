@@ -24,6 +24,8 @@ from .graphs import (
     connected_components,
     enclosing_subgraph,
     k_hop_set,
+    pair_count,
+    pair_rows,
     sbm_generate,
     shortest_distances,
 )
@@ -48,13 +50,11 @@ from .model import (
     train,
 )
 from .pipeline import (
-    CachedImageProvider,
     PairFeature,
-    ZeroImageProvider,
     apply_ricci_weights,
-    batch_features,
     pair_diagram,
     pair_feature,
+    pair_image_table,
 )
 from .reduction import (
     ReductionMatrix,

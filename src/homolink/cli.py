@@ -146,11 +146,20 @@ def cmd_bench(args) -> int:
     return 0
 
 
+TRAIN_CONFIG_KEYS = ("epochs", "lr", "weight_decay", "patience", "seed")
+
+
 def cmd_train(args) -> int:
     g = _load_graph(args)
     if g.node_features is None:
         raise ValueError("train requires a node feature matrix (--features)")
     overrides = io.parse_config_file(args.config) if args.config else {}
+    unknown = sorted(set(overrides) - set(TRAIN_CONFIG_KEYS))
+    if unknown:
+        raise ValueError(
+            f"{args.config}: unknown config keys {', '.join(unknown)}; "
+            f"accepted keys: {', '.join(TRAIN_CONFIG_KEYS)}"
+        )
     config = TrainConfig(
         epochs=int(overrides.get("epochs", args.epochs)),
         lr=float(overrides.get("lr", args.lr)),

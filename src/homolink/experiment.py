@@ -2,26 +2,23 @@
 
 Wires the pieces together: split the edges, drop the held-out positives from
 the message-passing graph, fit the image grid to the training-positive
-diagrams, then train the topology-augmented predictor. The topology-ablated
-variant trains the identical model on zero images, so paired seed
-comparisons isolate the contribution of the persistence features; it computes
-no curvature and no diagrams, since nothing would read them.
+diagrams, featurize every node pair once into one image table, then train the
+topology-augmented predictor. The topology-ablated variant trains the
+identical model on a zero table, so paired seed comparisons isolate the
+contribution of the persistence features; it computes no curvature and no
+diagrams, since nothing would read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .graphs import Graph
+import numpy as np
+
+from .graphs import Graph, pair_count
 from .images import ImageSpec, spec_for_diagrams
 from .model import DataSplit, TrainConfig, TrainResult, make_split, train
-from .pipeline import (
-    METRICS,
-    CachedImageProvider,
-    ZeroImageProvider,
-    apply_ricci_weights,
-    pair_diagram,
-)
+from .pipeline import METRICS, apply_ricci_weights, pair_diagram, pair_image_table
 
 DEFAULT_RICCI_ALPHA = 0.5
 
@@ -59,7 +56,13 @@ def run_link_prediction(
     ablate_topology: bool = False,
     ricci_alpha: float = DEFAULT_RICCI_ALPHA,
 ) -> ExperimentResult:
-    """Split, featurize, and train on one graph; deterministic per config seed."""
+    """Split, featurize, and train on one graph; deterministic per config seed.
+
+    The topology run computes each pair's diagram once: the training
+    positives' diagrams fit the image grid and then fill their own rows of
+    the table from ``pair_image_table``, which computes the rest. The
+    ablated run passes ``train`` a zero table of the same shape.
+    """
     if g.node_features is None:
         raise ValueError("graph must carry node features")
     if metric not in METRICS:
@@ -70,21 +73,19 @@ def run_link_prediction(
 
     if ablate_topology:
         image_spec = ImageSpec(resolution=resolution)
-        provider = ZeroImageProvider(image_spec.dim)
+        images = np.zeros((pair_count(g.n), image_spec.dim))
     else:
         feature_graph = (
             apply_ricci_weights(train_graph, ricci_alpha) if metric == "ricci" else train_graph
         )
         train_diagrams = [
-            pair_diagram(feature_graph, u, v, k, metric) for u, v in split.train_pos
+            pair_diagram(feature_graph, u, v, k, metric)[0] for u, v in split.train_pos
         ]
-        image_spec = spec_for_diagrams(
-            [d for d, _size in train_diagrams], resolution=resolution, sigma=sigma
+        image_spec = spec_for_diagrams(train_diagrams, resolution=resolution, sigma=sigma)
+        images = pair_image_table(
+            feature_graph, k, metric, image_spec, known=zip(split.train_pos, train_diagrams)
         )
-        provider = CachedImageProvider(feature_graph, k, metric, image_spec)
-        for (u, v), (diagram, _size) in zip(split.train_pos, train_diagrams):
-            provider.seed_diagram(u, v, diagram)
 
     config = replace(config, image_dim=image_spec.dim)
-    result = train(train_graph, g.node_features, split, provider, config)
+    result = train(train_graph, g.node_features, split, images, config)
     return ExperimentResult(result, split, image_spec)

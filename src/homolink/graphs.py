@@ -27,7 +27,7 @@ class Graph:
     """Simple undirected graph with optional positive finite edge weights and node features.
 
     Weights default to 1.0 for edges absent from ``edge_weights``.
-    ``node_features`` is an optional (n, d) float matrix.
+    ``node_features`` is an optional (n, d) matrix of finite floats.
     """
 
     n: int
@@ -63,6 +63,9 @@ class Graph:
             X = np.asarray(self.node_features, dtype=float)
             if X.ndim != 2 or X.shape[0] != self.n:
                 raise ValueError("node_features must be an (n, d) matrix")
+            if not np.isfinite(X).all():
+                node = int(np.argwhere(~np.isfinite(X))[0, 0])
+                raise ValueError(f"node {node} has a non-finite feature")
             self.node_features = X
 
     @property
@@ -72,6 +75,11 @@ class Graph:
     @cached_property
     def _edge_set(self) -> set[Edge]:
         return set(self.edges)
+
+    @cached_property
+    def _edge_index(self) -> dict[Edge, int]:
+        """Position of each canonical edge in ``edges``."""
+        return {e: i for i, e in enumerate(self.edges)}
 
     @cached_property
     def adjacency(self) -> list[list[int]]:
@@ -198,20 +206,40 @@ def enclosing_subgraph(
     nodes |= {v1, v2}
     node_map = sorted(nodes)
     local = {orig: i for i, orig in enumerate(node_map)}
+    # induced edges from the kept nodes' adjacency, listed in ``g.edges`` order
+    edge_index = g._edge_index
+    found = sorted(
+        edge_index[(u, v)] for u in node_map for v in g.adjacency[u] if v > u and v in local
+    )
     target_edge = canonical_edge(v1, v2)
     edges = []
     weights = {}
-    for e in g.edges:
-        u, v = e
-        if u in local and v in local:
-            if drop_target_edge and e == target_edge:
-                continue
-            le = (local[u], local[v])
-            edges.append(le)
-            if e in g.edge_weights:
-                weights[le] = g.edge_weights[e]
+    for i in found:
+        e = g.edges[i]
+        if drop_target_edge and e == target_edge:
+            continue
+        le = (local[e[0]], local[e[1]])
+        edges.append(le)
+        if e in g.edge_weights:
+            weights[le] = g.edge_weights[e]
     sub = Graph(len(node_map), edges, weights)
     return EnclosingSubgraph(sub, node_map, (local[v1], local[v2]), k)
+
+
+def pair_count(n: int) -> int:
+    """Number of unordered node pairs, n(n-1)/2."""
+    return n * (n - 1) // 2
+
+
+def pair_rows(u, v, n: int):
+    """Row of the unordered pair {u, v} in ``itertools.combinations(range(n), 2)`` order.
+
+    Symmetric in (u, v); works elementwise on integer arrays. The rows of all
+    pairs are exactly ``range(pair_count(n))``.
+    """
+    a = np.minimum(u, v)
+    b = np.maximum(u, v)
+    return a * n - a * (a + 1) // 2 + (b - a - 1)
 
 
 def sbm_generate(

@@ -61,10 +61,19 @@ def write_features_csv(X: np.ndarray, path: str) -> None:
 def read_features_csv(path: str) -> np.ndarray:
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if line:
-                rows.append([float(x) for x in line.split(",")])
+            if not line:
+                continue
+            try:
+                row = [float(x) for x in line.split(",")]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: feature values must be numbers") from exc
+            if rows and len(row) != len(rows[0]):
+                raise ValueError(
+                    f"{path}:{lineno}: expected {len(rows[0])} columns, got {len(row)}"
+                )
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty feature matrix")
     return np.array(rows)

@@ -11,12 +11,11 @@ them.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, canonical_edge
+from .graphs import Graph, canonical_edge, pair_count, pair_rows
 
 LEAKY_SLOPE = 0.2
 PROB_EPS = 1e-12
@@ -35,10 +34,6 @@ class ModelState:
     adam_m: dict[str, np.ndarray]
     adam_v: dict[str, np.ndarray]
     step: int = 0
-
-    @property
-    def embed_dim(self) -> int:
-        return self.params["w2"].shape[1]
 
     def copy(self) -> "ModelState":
         return ModelState(
@@ -87,13 +82,13 @@ def normalized_adjacency(g: Graph) -> np.ndarray:
     return A * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def _gcn_intermediates(S: np.ndarray, X: np.ndarray, params: dict):
-    P1 = S @ X
+def _gcn_intermediates(S: np.ndarray, P1: np.ndarray, params: dict):
+    """Forward pass from the propagated features ``P1 = S @ X``, which do not change in training."""
     Z1 = P1 @ params["w1"]
     H1 = np.maximum(Z1, 0.0)
     P2 = S @ H1
     H2 = P2 @ params["w2"]
-    return P1, Z1, H1, P2, H2
+    return Z1, H1, P2, H2
 
 
 def gcn_forward(g: Graph, X: np.ndarray, state: ModelState) -> np.ndarray:
@@ -106,13 +101,13 @@ def gcn_forward(g: Graph, X: np.ndarray, state: ModelState) -> np.ndarray:
     if X.ndim != 2 or X.shape[0] != g.n:
         raise ValueError("X must be an (n, d) feature matrix")
     S = normalized_adjacency(g)
-    return _gcn_intermediates(S, X, state.params)[-1]
+    return _gcn_intermediates(S, S @ X, state.params)[-1]
 
 
 def _decode_batch(Hu: np.ndarray, Hv: np.ndarray, PI: np.ndarray, params: dict):
     F = np.concatenate([(Hu - Hv) ** 2, PI], axis=1)
     Z1 = F @ params["mlp_w1"] + params["mlp_b1"]
-    A1 = np.where(Z1 > 0, Z1, LEAKY_SLOPE * Z1)
+    A1 = np.maximum(Z1, LEAKY_SLOPE * Z1)
     dist = (A1 @ params["mlp_w2"] + params["mlp_b2"]).ravel()
     prob = 1.0 / (np.exp(dist - 2.0) + 1.0)
     return prob, (F, Z1, A1, dist)
@@ -134,9 +129,9 @@ def _unpack_batch(batch):
     return u_idx, v_idx, labels, PI
 
 
-def _loss_and_grads(S, X, u_idx, v_idx, labels, PI, params):
+def _loss_and_grads(S, P1, u_idx, v_idx, labels, PI, params):
     B = len(labels)
-    P1, Z1g, H1, P2, H2 = _gcn_intermediates(S, X, params)
+    Z1g, H1, P2, H2 = _gcn_intermediates(S, P1, params)
     Hu = H2[u_idx]
     Hv = H2[v_idx]
     prob, (F, Z1, A1, dist) = _decode_batch(Hu, Hv, PI, params)
@@ -150,7 +145,7 @@ def _loss_and_grads(S, X, u_idx, v_idx, labels, PI, params):
     grads["mlp_b2"] = np.array([d_dist.sum()])
     grads["mlp_w2"] = A1.T @ d_dist[:, None]
     dA1 = d_dist[:, None] @ params["mlp_w2"].T
-    dZ1 = dA1 * np.where(Z1 > 0, 1.0, LEAKY_SLOPE)
+    dZ1 = np.where(Z1 > 0, dA1, LEAKY_SLOPE * dA1)
     grads["mlp_w1"] = F.T @ dZ1
     grads["mlp_b1"] = dZ1.sum(axis=0)
     dF = dZ1 @ params["mlp_w1"].T
@@ -180,7 +175,8 @@ def loss_and_gradients(batch, g: Graph, X: np.ndarray, state: ModelState):
     if not np.isin(labels, (0.0, 1.0)).all():
         raise ValueError("labels must be 0 or 1")
     S = normalized_adjacency(g)
-    return _loss_and_grads(S, np.asarray(X, dtype=float), u_idx, v_idx, labels, PI, state.params)
+    P1 = S @ np.asarray(X, dtype=float)
+    return _loss_and_grads(S, P1, u_idx, v_idx, labels, PI, state.params)
 
 
 def adam_step(state: ModelState, grads: dict, lr: float, weight_decay: float = 0.0) -> None:
@@ -295,37 +291,47 @@ class TrainResult:
     seed: int = 0
 
 
-def _pair_images(provider, pairs) -> np.ndarray:
-    return np.vstack([np.asarray(provider(u, v), dtype=float) for u, v in pairs])
+def _pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
+    arr = np.array(pairs, dtype=int).reshape(-1, 2)
+    return arr[:, 0], arr[:, 1]
 
 
-def _eval_auc(S, X, params, pairs_pos, pairs_neg, PI):
-    _, _, _, _, H2 = _gcn_intermediates(S, X, params)
-    pairs = pairs_pos + pairs_neg
-    u_idx = np.array([p[0] for p in pairs], dtype=int)
-    v_idx = np.array([p[1] for p in pairs], dtype=int)
+def _eval_auc(S, P1, params, u_idx, v_idx, labels, PI):
+    H2 = _gcn_intermediates(S, P1, params)[-1]
     prob, _ = _decode_batch(H2[u_idx], H2[v_idx], PI, params)
-    labels = np.concatenate([np.ones(len(pairs_pos)), np.zeros(len(pairs_neg))])
     return roc_auc(prob, labels)
+
+
+def _labelled(g: Graph, images: np.ndarray, pos, neg):
+    """Node indices, 0/1 labels and image rows of positives followed by negatives."""
+    u_idx, v_idx = _pair_arrays(pos + neg)
+    labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
+    return u_idx, v_idx, labels, images[pair_rows(u_idx, v_idx, g.n)]
 
 
 def train(
     g: Graph,
     X: np.ndarray,
     split: DataSplit,
-    image_provider,
+    images: np.ndarray,
     config: TrainConfig,
 ) -> TrainResult:
     """Train the link predictor with per-epoch negative sampling and early stopping.
 
     ``g`` must already exclude the validation and test positive edges from
-    message passing. Each epoch draws fresh training negatives, equal in
-    number to the training positives, from the non-edges of the full graph
-    (excluding the held-out negative samples). The state with the best
-    validation ROC-AUC is returned, with the test ROC-AUC evaluated there.
-    Runs are bit-deterministic for a fixed seed.
+    message passing. ``images`` holds one persistence image per unordered
+    node pair: shape ``(n(n-1)/2, config.image_dim)``, with the pair {u, v}
+    in row ``pair_rows(u, v, n)``. Each epoch draws fresh training
+    negatives, equal in number to the training positives, from the
+    non-edges of the full graph (excluding the held-out negative samples).
+    The state with the best validation ROC-AUC is returned, with the test
+    ROC-AUC evaluated there. Runs are bit-deterministic for a fixed seed.
     """
     X = np.asarray(X, dtype=float)
+    images = np.asarray(images, dtype=float)
+    shape = (pair_count(g.n), config.image_dim)
+    if images.shape != shape:
+        raise ValueError(f"images must be a {shape} table, got {images.shape}")
     rng = np.random.default_rng(config.seed)
     state = init_model(
         X.shape[1],
@@ -336,21 +342,23 @@ def train(
         seed=rng,
     )
     S = normalized_adjacency(g)
+    P1 = S @ X
 
-    all_pos = set(split.train_pos) | set(split.val_pos) | set(split.test_pos)
-    held_neg = set(split.val_neg) | set(split.test_neg)
-    pool = [
-        e
-        for e in itertools.combinations(range(g.n), 2)
-        if e not in all_pos and e not in held_neg
-    ]
+    # the negative pool: every pair that is neither a positive nor a held-out
+    # negative, in upper-triangle order
+    seen = split.train_pos + split.val_pos + split.test_pos + split.val_neg + split.test_neg
+    keep = np.ones(shape[0], dtype=bool)
+    keep[pair_rows(*_pair_arrays(seen), g.n)] = False
+    pool = np.column_stack(np.triu_indices(g.n, k=1))[keep]
+    pool_rows = np.flatnonzero(keep)
     n_train = len(split.train_pos)
     if n_train == 0 or len(pool) < n_train:
         raise ValueError("not enough non-edges to sample training negatives")
 
-    PI_train_pos = _pair_images(image_provider, split.train_pos)
-    PI_val = _pair_images(image_provider, split.val_pos + split.val_neg)
-    PI_test = _pair_images(image_provider, split.test_pos + split.test_neg)
+    train_u, train_v = _pair_arrays(split.train_pos)
+    train_rows = pair_rows(train_u, train_v, g.n)
+    val = _labelled(g, images, split.val_pos, split.val_neg)
+    test = _labelled(g, images, split.test_pos, split.test_neg)
 
     best_auc = -np.inf
     best_epoch = 0
@@ -360,15 +368,12 @@ def train(
 
     for epoch in range(config.epochs):
         neg_idx = rng.choice(len(pool), size=n_train, replace=False)
-        negs = [pool[i] for i in neg_idx]
-        PI_neg = _pair_images(image_provider, negs)
-        pairs = split.train_pos + negs
-        u_idx = np.array([p[0] for p in pairs], dtype=int)
-        v_idx = np.array([p[1] for p in pairs], dtype=int)
-        PI = np.vstack([PI_train_pos, PI_neg])
-        loss, grads = _loss_and_grads(S, X, u_idx, v_idx, labels, PI, state.params)
+        u_idx = np.concatenate([train_u, pool[neg_idx, 0]])
+        v_idx = np.concatenate([train_v, pool[neg_idx, 1]])
+        PI = images[np.concatenate([train_rows, pool_rows[neg_idx]])]
+        loss, grads = _loss_and_grads(S, P1, u_idx, v_idx, labels, PI, state.params)
         adam_step(state, grads, config.lr, config.weight_decay)
-        val_auc = _eval_auc(S, X, state.params, split.val_pos, split.val_neg, PI_val)
+        val_auc = _eval_auc(S, P1, state.params, *val)
         history.append((epoch, loss, val_auc))
         if val_auc > best_auc:
             best_auc = val_auc
@@ -377,5 +382,5 @@ def train(
         elif epoch - best_epoch >= config.patience:
             break
 
-    test_auc = _eval_auc(S, X, best_state.params, split.test_pos, split.test_neg, PI_test)
+    test_auc = _eval_auc(S, P1, best_state.params, *test)
     return TrainResult(best_state, history, test_auc, best_epoch, config.seed)

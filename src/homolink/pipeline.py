@@ -9,8 +9,8 @@ subgraph inherits them. With ``metric="hop"`` distances count hops.
 
 from __future__ import annotations
 
+import itertools
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +18,7 @@ import numpy as np
 from .diagrams import PersistenceDiagram
 from .fast_ph import fast_extended_diagram
 from .filtration import build_filtration, distance_sum_filter
-from .graphs import Graph, canonical_edge, enclosing_subgraph
+from .graphs import Graph, enclosing_subgraph, pair_count, pair_rows
 from .images import ImageSpec, persistence_image
 from .ricci import ricci_edge_weights
 
@@ -88,86 +88,33 @@ def pair_feature(
     )
 
 
-def _feature_chunk(args):
-    g, pairs, k, metric, spec, drop_target_edge = args
-    return [pair_feature(g, u, v, k, metric, spec, drop_target_edge) for u, v in pairs]
-
-
-def batch_features(
+def pair_image_table(
     g: Graph,
-    pairs,
     k: int,
-    metric: str = "hop",
-    spec: ImageSpec | None = None,
-    workers: int = 1,
-    drop_target_edge: bool = True,
-) -> list[PairFeature]:
-    """Features for many pairs; output order matches input order, any worker count."""
-    spec = spec or ImageSpec()
-    pairs = list(pairs)
-    if workers <= 1 or len(pairs) < 2 * workers:
-        return [pair_feature(g, u, v, k, metric, spec, drop_target_edge) for u, v in pairs]
-    chunk = (len(pairs) + workers - 1) // workers
-    jobs = [
-        (g, pairs[i : i + chunk], k, metric, spec, drop_target_edge)
-        for i in range(0, len(pairs), chunk)
-    ]
-    out: list[PairFeature] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_feature_chunk, jobs):
-            out.extend(part)
-    return out
+    metric: str,
+    spec: ImageSpec,
+    known=(),
+) -> np.ndarray:
+    """Persistence image of every unordered node pair, one row each.
 
-
-class CachedImageProvider:
-    """Memoized (u, v) -> persistence image map over a fixed graph and spec.
-
-    Each distinct pair is computed once; results are independent of call
-    order. Suitable as the image provider for training, where fresh negative
-    pairs appear every epoch.
+    The result has shape ``(pair_count(g.n), spec.dim)`` and row
+    ``pair_rows(u, v, g.n)`` holds the image of {u, v}, i.e. rows follow
+    ``itertools.combinations(range(g.n), 2)``. Each image is that of
+    ``pair_diagram(g, u, v, k, metric)``, so a pair's own edge never enters
+    its row. ``known`` is an iterable of ``((u, v), diagram)`` items already
+    computed that way; their rows reuse the diagram, so no pair's diagram is
+    computed twice.
     """
-
-    def __init__(
-        self,
-        g: Graph,
-        k: int,
-        metric: str,
-        spec: ImageSpec,
-        drop_target_edge: bool = True,
-    ):
-        self.graph = g
-        self.k = k
-        self.metric = metric
-        self.spec = spec
-        self.drop_target_edge = drop_target_edge
-        self._cache: dict[tuple[int, int], np.ndarray] = {}
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
-
-    def seed_diagram(self, u: int, v: int, diagram: PersistenceDiagram) -> None:
-        """Record a precomputed diagram so its image is not recomputed later."""
-        self._cache[canonical_edge(u, v)] = persistence_image(diagram, self.spec)
-
-    def __call__(self, u: int, v: int) -> np.ndarray:
-        key = canonical_edge(u, v)
-        img = self._cache.get(key)
-        if img is None:
-            diagram, _ = pair_diagram(
-                self.graph, key[0], key[1], self.k, self.metric, self.drop_target_edge
-            )
-            img = persistence_image(diagram, self.spec)
-            self._cache[key] = img
-        return img
-
-
-class ZeroImageProvider:
-    """Topology-ablated provider: every pair gets the zero image."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._zero = np.zeros(dim)
-
-    def __call__(self, u: int, v: int) -> np.ndarray:
-        return self._zero
+    if metric not in METRICS:
+        raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
+    table = np.empty((pair_count(g.n), spec.dim))
+    done = np.zeros(len(table), dtype=bool)
+    for (u, v), diagram in known:
+        row = pair_rows(u, v, g.n)
+        table[row] = persistence_image(diagram, spec)
+        done[row] = True
+    for row, (u, v) in enumerate(itertools.combinations(range(g.n), 2)):
+        if not done[row]:
+            diagram, _size = pair_diagram(g, u, v, k, metric)
+            table[row] = persistence_image(diagram, spec)
+    return table

@@ -195,3 +195,38 @@ def random_graph(rng, n, p):
     from homolink.graphs import Graph
 
     return Graph(n, edges)
+
+
+def shuffled_graph(rng, n, p, weighted=False):
+    """Random graph whose edge list comes in random order and orientation.
+
+    With ``weighted``, about half the edges carry a weight in [0.25, 4).
+    """
+    from homolink.graphs import Graph
+
+    edges = [
+        (j, i) if rng.random() < 0.5 else (i, j)
+        for i, j in itertools.combinations(range(n), 2)
+        if rng.random() < p
+    ]
+    edges = [edges[i] for i in rng.permutation(len(edges))]
+    weights = {e: float(rng.uniform(0.25, 4.0)) for e in edges if weighted and rng.random() < 0.5}
+    return Graph(n, edges, weights)
+
+
+def edge_scan_subgraph(g, v1, v2, k, drop_target_edge):
+    """Enclosing subgraph by scanning every edge of ``g``.
+
+    Returns (node_map, local edges, local weights, local targets), with the
+    edges listed in the order of ``g.edges``.
+    """
+    node_map = sorted((bfs_ball(g, v1, k) & bfs_ball(g, v2, k)) | {v1, v2})
+    local = {x: i for i, x in enumerate(node_map)}
+    target = (min(v1, v2), max(v1, v2))
+    edges, weights = [], {}
+    for u, v in g.edges:
+        if u in local and v in local and not (drop_target_edge and (u, v) == target):
+            edges.append((local[u], local[v]))
+            if (u, v) in g.edge_weights:
+                weights[(local[u], local[v])] = g.edge_weights[(u, v)]
+    return node_map, edges, weights, (local[v1], local[v2])

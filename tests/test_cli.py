@@ -195,6 +195,21 @@ def test_train_config_file_overrides(tmp_path):
     assert len(metrics) - 1 <= 3
 
 
+def test_train_config_file_rejects_unknown_keys(tmp_path, capsys):
+    src = tmp_path / "data"
+    assert run(["sbm", "--n", 60, "--c", 3, "--p", 0.4, "--q", 0.05, "--d", 4,
+                "--seed", 11, "--out", src]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("epoch=5\n")
+    out = tmp_path / "t"
+    assert run(["train", "--graph", src / "edges.txt", "--features", src / "features.csv",
+                "--config", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "unknown config keys epoch" in err
+    assert "accepted keys: epochs, lr, weight_decay, patience, seed" in err
+    assert not (out / "report.json").exists()
+
+
 def test_manifest_written_for_every_command(tmp_path):
     out = tmp_path / "sbm"
     run(["sbm", "--n", 10, "--c", 2, "--p", 0.5, "--q", 0.1, "--seed", 1, "--out", out])

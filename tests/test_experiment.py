@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import homolink.experiment as experiment
@@ -6,6 +8,7 @@ import homolink.ricci as ricci
 from homolink.graphs import sbm_generate
 from homolink.images import ImageSpec
 from homolink.model import TrainConfig
+from homolink.pipeline import pair_diagram
 
 
 def small_graph():
@@ -37,3 +40,19 @@ def test_unknown_metric_rejected_in_both_variants():
             experiment.run_link_prediction(
                 small_graph(), metric="euclidean", ablate_topology=ablate
             )
+
+
+def test_topology_run_computes_each_pair_diagram_once(monkeypatch):
+    calls = []
+
+    def counting(g, u, v, *args, **kwargs):
+        calls.append((min(u, v), max(u, v)))
+        return pair_diagram(g, u, v, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "pair_diagram", counting)
+    monkeypatch.setattr(experiment, "pair_diagram", counting)
+    g = small_graph()
+    config = TrainConfig(epochs=2, patience=5, seed=1)
+    result = experiment.run_link_prediction(g, k=1, metric="hop", config=config)
+    assert sorted(calls) == list(itertools.combinations(range(g.n), 2))
+    assert len(result.train_result.history) == 2

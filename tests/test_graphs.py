@@ -3,16 +3,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homolink.graphs import (
     Graph,
     connected_components,
     enclosing_subgraph,
     k_hop_set,
+    pair_count,
+    pair_rows,
     sbm_generate,
     shortest_distances,
 )
-from oracles import bfs_ball, brute_force_shortest, reachability_labels
+from oracles import (
+    bfs_ball,
+    brute_force_shortest,
+    edge_scan_subgraph,
+    reachability_labels,
+    shuffled_graph,
+)
 
 
 def test_graph_rejects_self_loops_and_duplicates():
@@ -32,6 +42,12 @@ def test_graph_rejects_nonfinite_weights():
         Graph(3, [(0, 1), (1, 2)], {(0, 1): math.inf})
     with pytest.raises(ValueError):
         Graph(3, [(0, 1), (1, 2)], {(0, 1): math.nan})
+
+
+def test_graph_rejects_nonfinite_node_features():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="node 2 has a non-finite feature"):
+            Graph(3, [(0, 1), (1, 2)], node_features=[[0.0], [1.0], [bad]])
 
 
 def test_shortest_distances_path_graph():
@@ -140,6 +156,38 @@ def test_enclosing_subgraph_monotone_in_k():
         nodes = set(sub.node_map)
         assert prev <= nodes
         prev = nodes
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 10),
+    p=st.floats(0.1, 0.9),
+    k=st.integers(1, 3),
+    drop=st.booleans(),
+    data=st.data(),
+)
+def test_enclosing_subgraph_matches_edge_scan_oracle(seed, n, p, k, drop, data):
+    g = shuffled_graph(np.random.default_rng(seed), n, p, weighted=True)
+    u = data.draw(st.integers(0, n - 1))
+    v = data.draw(st.integers(0, n - 1).filter(lambda x: x != u))
+    sub = enclosing_subgraph(g, u, v, k, drop_target_edge=drop)
+    node_map, edges, weights, targets = edge_scan_subgraph(g, u, v, k, drop)
+    assert sub.node_map == node_map
+    assert sub.graph.edges == edges
+    assert list(sub.graph.edge_weights.items()) == list(weights.items())
+    assert sub.targets == targets
+
+
+@settings(deadline=None)
+@given(n=st.integers(0, 40))
+def test_pair_rows_bijective_and_symmetric(n):
+    pairs = np.array(list(itertools.combinations(range(n), 2)), dtype=int).reshape(-1, 2)
+    rows = pair_rows(pairs[:, 0], pairs[:, 1], n)
+    assert np.array_equal(rows, np.arange(pair_count(n)))
+    assert np.array_equal(pair_rows(pairs[:, 1], pairs[:, 0], n), rows)
+    for row, (u, v) in enumerate(pairs[:5].tolist()):
+        assert pair_rows(u, v, n) == pair_rows(v, u, n) == row
 
 
 def test_sbm_degenerate_probabilities():

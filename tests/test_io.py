@@ -68,6 +68,20 @@ def test_features_round_trip(tmp_path):
     assert np.array_equal(read_features_csv(path), X)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1.0,2.0\n\n3.0,4.0\n5.0\n", r"feat\.csv:4: expected 2 columns, got 1"),
+        ("1.0,2.0\n3.0,abc\n", r"feat\.csv:2: feature values must be numbers"),
+    ],
+)
+def test_features_csv_rejects_malformed_rows(tmp_path, text, message):
+    path = tmp_path / "feat.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_features_csv(path)
+
+
 def test_load_graph_takes_node_count_from_features(tmp_path):
     edges = tmp_path / "e.txt"
     edges.write_text("0 1\n")

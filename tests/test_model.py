@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from homolink.graphs import Graph, sbm_generate
+from homolink.graphs import Graph, pair_count, pair_rows, sbm_generate
 from homolink.model import (
     TrainConfig,
     adam_step,
@@ -13,7 +13,6 @@ from homolink.model import (
     roc_auc,
     train,
 )
-from homolink.pipeline import ZeroImageProvider
 from oracles import gcn_dense_oracle, pairwise_auc, random_graph
 
 
@@ -234,6 +233,10 @@ def test_roc_auc_matches_pair_counting(seed):
     assert roc_auc(scores, labels) == pytest.approx(pairwise_auc(scores, labels))
 
 
+def zero_table(g, dim):
+    return np.zeros((pair_count(g.n), dim))
+
+
 def make_training_setup(seed=0):
     g = sbm_generate(30, 2, 0.5, 0.1, 6, seed=seed)
     split = make_split(g, seed=seed)
@@ -244,7 +247,7 @@ def make_training_setup(seed=0):
 def test_train_zero_lr_keeps_initial_parameters():
     g, train_graph, split = make_training_setup(seed=1)
     config = TrainConfig(epochs=3, lr=0.0, patience=10, seed=1, hidden=8, embed=4, mlp_hidden=6, image_dim=4)
-    result = train(train_graph, g.node_features, split, ZeroImageProvider(4), config)
+    result = train(train_graph, g.node_features, split, zero_table(train_graph, 4), config)
     fresh = init_model(6, 4, hidden=8, embed=4, mlp_hidden=6, seed=np.random.default_rng(1))
     for key in fresh.params:
         assert np.array_equal(result.state.params[key], fresh.params[key])
@@ -263,7 +266,7 @@ def test_train_separable_features_reach_perfect_auc():
     split = make_split(g, seed=6)
     train_graph = g.without_edges(split.val_pos + split.test_pos)
     config = TrainConfig(epochs=200, lr=0.01, patience=200, seed=6, hidden=16, embed=8, mlp_hidden=16, image_dim=3)
-    result = train(train_graph, X, split, ZeroImageProvider(3), config)
+    result = train(train_graph, X, split, zero_table(train_graph, 3), config)
     # train-set AUC at the selected state: positives vs cross-community non-edges
     from homolink.model import gcn_forward, decode
 
@@ -277,7 +280,27 @@ def test_train_separable_features_reach_perfect_auc():
 def test_train_deterministic_history():
     g, train_graph, split = make_training_setup(seed=3)
     config = TrainConfig(epochs=5, lr=0.01, patience=10, seed=3, hidden=8, embed=4, mlp_hidden=6, image_dim=4)
-    r1 = train(train_graph, g.node_features, split, ZeroImageProvider(4), config)
-    r2 = train(train_graph, g.node_features, split, ZeroImageProvider(4), config)
+    r1 = train(train_graph, g.node_features, split, zero_table(train_graph, 4), config)
+    r2 = train(train_graph, g.node_features, split, zero_table(train_graph, 4), config)
     assert r1.history == r2.history
     assert r1.test_auc == r2.test_auc
+
+
+def test_train_rejects_table_of_wrong_shape():
+    g, train_graph, split = make_training_setup(seed=3)
+    config = TrainConfig(epochs=2, patience=10, seed=3, hidden=8, embed=4, mlp_hidden=6, image_dim=4)
+    for shape in [(pair_count(g.n), 5), (pair_count(g.n) - 1, 4), (pair_count(g.n) * 4,)]:
+        with pytest.raises(ValueError, match="table"):
+            train(train_graph, g.node_features, split, np.zeros(shape), config)
+
+
+def test_train_reads_each_pair_row():
+    # features carry nothing; the image row of every edge is 1 and of every
+    # non-edge 0, so only a correct row gather can separate the test pairs
+    g, train_graph, split = make_training_setup(seed=4)
+    X = np.ones((g.n, 3))
+    images = zero_table(g, 1)
+    images[pair_rows(*np.array(g.edges).T, g.n)] = 1.0
+    config = TrainConfig(epochs=60, lr=0.05, patience=100, seed=4, hidden=8, embed=4, mlp_hidden=6, image_dim=1)
+    result = train(train_graph, X, split, images, config)
+    assert result.test_auc == 1.0

@@ -1,18 +1,22 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from homolink import pipeline
 from homolink.filtration import build_filtration, distance_sum_filter
-from homolink.graphs import Graph, enclosing_subgraph, sbm_generate
-from homolink.images import ImageSpec
+from homolink.graphs import Graph, enclosing_subgraph, pair_rows, sbm_generate
+from homolink.images import ImageSpec, persistence_image
 from homolink.pipeline import (
-    CachedImageProvider,
-    ZeroImageProvider,
     apply_ricci_weights,
-    batch_features,
     pair_diagram,
     pair_feature,
+    pair_image_table,
 )
 from homolink.reduction import diagram_via_reduction
+from oracles import shuffled_graph
 
 SPEC = ImageSpec(resolution=(5, 5), sigma=0.4, bounds=(-0.5, 8.0, -0.5, 8.0))
 
@@ -87,43 +91,52 @@ def test_ricci_metric_uses_installed_weights():
         assert len(d.in_dimension(1)) == sub.graph.num_edges - sub.graph.n + 1
 
 
-def test_batch_empty():
-    g = Graph(3, [(0, 1)])
-    assert batch_features(g, [], 1, spec=SPEC) == []
+def test_pair_table_empty_for_fewer_than_two_nodes():
+    for n in (0, 1):
+        assert pair_image_table(Graph(n, []), 1, "hop", SPEC).shape == (0, SPEC.dim)
 
 
-def test_batch_matches_single_calls():
-    g = sbm_generate(40, 4, 0.4, 0.05, 0, seed=31)
-    pairs = g.edges[:10]
-    batch = batch_features(g, pairs, 1, spec=SPEC)
-    assert [f.pair for f in batch] == list(pairs)
-    for feat, (u, v) in zip(batch, pairs):
-        single = pair_feature(g, u, v, 1, spec=SPEC)
-        assert np.array_equal(feat.image, single.image)
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    p=st.floats(0.2, 0.9),
+    k=st.integers(1, 3),
+    metric=st.sampled_from(["hop", "ricci"]),
+)
+def test_pair_table_rows_match_pair_diagram(seed, n, p, k, metric):
+    g = shuffled_graph(np.random.default_rng(seed), n, p, weighted=True)
+    table = pair_image_table(g, k, metric, SPEC)
+    assert table.shape == (n * (n - 1) // 2, SPEC.dim)
+    for row, (u, v) in enumerate(itertools.combinations(range(n), 2)):
+        diagram, _size = pair_diagram(g, u, v, k, metric)
+        assert np.array_equal(table[row], persistence_image(diagram, SPEC))
 
 
-def test_batch_workers_do_not_change_output():
-    g = sbm_generate(40, 4, 0.4, 0.05, 0, seed=32)
-    pairs = g.edges[:16]
-    serial = batch_features(g, pairs, 1, spec=SPEC, workers=1)
-    parallel = batch_features(g, pairs, 1, spec=SPEC, workers=8)
-    assert [f.pair for f in parallel] == [f.pair for f in serial]
-    for a, b in zip(serial, parallel):
-        assert np.array_equal(a.image, b.image)
-        assert a.diagram.as_multiset() == b.diagram.as_multiset()
-
-
-def test_cached_provider_consistent_and_symmetric():
+def test_pair_table_row_symmetric_in_targets():
     g = sbm_generate(30, 3, 0.4, 0.05, 0, seed=40)
-    provider = CachedImageProvider(g, 1, "hop", SPEC)
+    table = pair_image_table(g, 1, "hop", SPEC)
     u, v = g.edges[0]
-    first = provider(u, v)
-    assert np.array_equal(provider(v, u), first)
-    direct = pair_feature(g, u, v, 1, spec=SPEC)
-    assert np.array_equal(first, direct.image)
+    assert pair_rows(u, v, g.n) == pair_rows(v, u, g.n)
+    assert np.array_equal(table[pair_rows(v, u, g.n)], pair_feature(g, v, u, 1, spec=SPEC).image)
 
 
-def test_zero_provider_dimension():
-    provider = ZeroImageProvider(25)
-    assert provider(0, 1).shape == (25,)
-    assert (provider(3, 4) == 0).all()
+def test_pair_table_reuses_known_diagrams(monkeypatch):
+    g = sbm_generate(20, 2, 0.5, 0.1, 0, seed=41)
+    fresh = pair_image_table(g, 1, "hop", SPEC)
+    known = [((u, v), pair_diagram(g, u, v, 1)[0]) for u, v in g.edges[:6]]
+    calls = []
+
+    def counting(g, u, v, *args):
+        calls.append((u, v))
+        return pair_diagram(g, u, v, *args)
+
+    monkeypatch.setattr(pipeline, "pair_diagram", counting)
+    table = pair_image_table(g, 1, "hop", SPEC, known=known)
+    assert np.array_equal(table, fresh)
+    assert sorted(calls + [pair for pair, _ in known]) == list(itertools.combinations(range(20), 2))
+
+
+def test_pair_table_rejects_unknown_metric():
+    with pytest.raises(ValueError):
+        pair_image_table(Graph(1, []), 1, "euclidean", SPEC)
