@@ -21,7 +21,6 @@ from .filtration import FiltrationOrder, build_filtration, distance_sum_filter
 from .graphs import (
     EnclosingSubgraph,
     Graph,
-    connected_components,
     enclosing_subgraph,
     k_hop_set,
     pair_count,
@@ -49,13 +48,7 @@ from .model import (
     roc_auc,
     train,
 )
-from .pipeline import (
-    PairFeature,
-    apply_ricci_weights,
-    pair_diagram,
-    pair_feature,
-    pair_image_table,
-)
+from .pipeline import apply_ricci_weights, pair_diagram, pair_image_table
 from .reduction import (
     ReductionMatrix,
     build_reduction_matrix,

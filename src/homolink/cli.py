@@ -128,6 +128,10 @@ def cmd_ricci(args) -> int:
 def cmd_bench(args) -> int:
     if args.repetitions <= 0:
         raise ValueError("repetitions must be positive")
+    if min(args.sizes) < 2:
+        raise ValueError("sizes must be at least 2")
+    if args.graphs_per_size < 1:
+        raise ValueError("graphs-per-size must be at least 1")
     rng = np.random.default_rng(args.seed)
     inputs = []
     for size in args.sizes:

@@ -11,8 +11,6 @@ RELATIVE_DESCENDING = "relative-descending"
 ESSENTIAL_0 = "essential-0"
 EXTENDED_1 = "extended-1"
 
-KINDS = (ORDINARY_ASCENDING, RELATIVE_DESCENDING, ESSENTIAL_0, EXTENDED_1)
-
 
 class DiagramPoint(NamedTuple):
     dim: int
@@ -53,18 +51,6 @@ class PersistenceDiagram:
             {"dim": p.dim, "birth": p.birth, "death": p.death, "kind": p.kind}
             for p in ordered
         ]
-
-    @classmethod
-    def from_json_obj(cls, obj: list[dict]) -> "PersistenceDiagram":
-        points = []
-        for rec in obj:
-            kind = rec["kind"]
-            if kind not in KINDS:
-                raise ValueError(f"unknown diagram point kind: {kind}")
-            points.append(
-                DiagramPoint(int(rec["dim"]), float(rec["birth"]), float(rec["death"]), kind)
-            )
-        return cls(points)
 
 
 def drop_zero_persistence(points: list[DiagramPoint]) -> list[DiagramPoint]:

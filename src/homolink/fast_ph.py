@@ -1,12 +1,15 @@
 """Fast extended persistence for graphs: union-find plus spanning-tree updates.
 
 Dimension-0 pairs come from one union-find sweep per direction under the
-elder rule. Dimension-1 pairs come from a rooted spanning forest built from
-the descending pass's negative edges: each positive descending edge closes a
-unique loop against the forest, is paired with the loop edge that enters the
-ascending order last, and then replaces that edge in the forest. Runtime is
-O(|V| * |E|), against the cubic cost of the matrix reduction, and the output
-is identical (which the test suite checks against the reduction oracle).
+elder rule. The same two sweeps give the essential points: a component's
+first node in the ascending order is its minimum, and its first node in the
+descending order is its maximum. Dimension-1 pairs come from a rooted
+spanning forest built from the descending pass's negative edges: each
+positive descending edge closes a unique loop against the forest, is paired
+with the loop edge that enters the ascending order last, and then replaces
+that edge in the forest. Runtime is O(|V| * |E|), against the cubic cost of
+the matrix reduction, and the output is identical (which the test suite
+checks against the reduction oracle).
 """
 
 from __future__ import annotations
@@ -29,13 +32,14 @@ from .reduction import diagram_via_reduction
 
 
 def union_find_pass(ford: FiltrationOrder, direction: str):
-    """One filtration sweep; returns (0-dim pairs, positive edges, negative edges).
+    """One filtration sweep; returns (0-dim pairs, positive edges, negative edges, roots).
 
     An edge joining two components is negative and kills the younger one:
-    the component whose representative entered this direction's order later.
+    the component whose first node entered this direction's order later.
     Edges within one component are positive and are returned in filtration
-    order. Pairs are (f of the dying representative, edge value), including
-    zero-persistence pairs; callers filter.
+    order. Pairs are (f of the dying component's first node, edge value),
+    including zero-persistence pairs; callers filter. ``roots[x]`` is the
+    first node, in this direction's order, of x's final component.
     """
     if direction == "ascending":
         seq = ford.ascending
@@ -52,6 +56,7 @@ def union_find_pass(ford: FiltrationOrder, direction: str):
     for i, s in enumerate(seq):
         if isinstance(s, int):
             pos[s] = i
+    # every root is the first node of its set, since the elder root stays root
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -60,7 +65,6 @@ def union_find_pass(ford: FiltrationOrder, direction: str):
             x = parent[x]
         return x
 
-    rep = list(range(n))
     pairs: list[tuple[float, float]] = []
     e_pos: list[tuple[int, int]] = []
     e_neg: list[tuple[int, int]] = []
@@ -73,13 +77,13 @@ def union_find_pass(ford: FiltrationOrder, direction: str):
             e_pos.append(s)
             continue
         e_neg.append(s)
-        if pos[rep[ru]] <= pos[rep[rv]]:
+        if pos[ru] <= pos[rv]:
             elder, younger = ru, rv
         else:
             elder, younger = rv, ru
-        pairs.append((float(f[rep[younger]]), edge_value[s]))
+        pairs.append((float(f[younger]), edge_value[s]))
         parent[younger] = elder
-    return pairs, e_pos, e_neg
+    return pairs, e_pos, e_neg, [find(x) for x in range(n)]
 
 
 class _LoopForest:
@@ -193,7 +197,12 @@ def loop_pairings(ford: FiltrationOrder, check_invariants: bool = False):
     the positive edges appear in the descending filtration. The loop includes
     the positive edge itself.
     """
-    _, e_pos, e_neg = union_find_pass(ford, "descending")
+    _, e_pos, e_neg, _ = union_find_pass(ford, "descending")
+    return _pair_loops(ford, e_pos, e_neg, check_invariants)
+
+
+def _pair_loops(ford: FiltrationOrder, e_pos, e_neg, check_invariants: bool = False):
+    """``loop_pairings`` on the positive and negative edges of a descending pass."""
     asc = ford.asc_index
     forest = _LoopForest(ford.n, e_neg)
     out = []
@@ -211,49 +220,23 @@ def loop_pairings(ford: FiltrationOrder, check_invariants: bool = False):
     return out
 
 
-def _component_spans(ford: FiltrationOrder):
-    """(min f, max f) per connected component of the filtered graph."""
-    n = ford.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in ford.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    f = ford.f_node
-    seen = [False] * n
-    spans = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        lo = hi = float(f[start])
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    fy = float(f[y])
-                    lo = min(lo, fy)
-                    hi = max(hi, fy)
-                    queue.append(y)
-        spans.append((lo, hi))
-    return spans
-
-
-def fast_extended_diagram(
-    ford: FiltrationOrder, keep_zero: bool = False, check_invariants: bool = False
-) -> PersistenceDiagram:
+def fast_extended_diagram(ford: FiltrationOrder, keep_zero: bool = False) -> PersistenceDiagram:
     """Extended persistence diagram via union-find and spanning-tree maintenance.
 
     Output equals ``diagram_via_reduction`` on the same filtration order,
     point for point. Zero-persistence points are dropped unless ``keep_zero``.
     """
-    asc_pairs, _, _ = union_find_pass(ford, "ascending")
-    desc_pairs, _, _ = union_find_pass(ford, "descending")
+    f = ford.f_node
+    asc_pairs, _, _, lowest = union_find_pass(ford, "ascending")
+    desc_pairs, e_pos, e_neg, highest = union_find_pass(ford, "descending")
     points = [DiagramPoint(0, b, d, ORDINARY_ASCENDING) for b, d in asc_pairs]
     points += [DiagramPoint(0, b, d, RELATIVE_DESCENDING) for b, d in desc_pairs]
-    points += [DiagramPoint(0, lo, hi, ESSENTIAL_0) for lo, hi in _component_spans(ford)]
-    for e, paired, _loop in loop_pairings(ford, check_invariants=check_invariants):
+    points += [
+        DiagramPoint(0, float(f[x]), float(f[highest[x]]), ESSENTIAL_0)
+        for x in range(ford.n)
+        if lowest[x] == x
+    ]
+    for e, paired, _loop in _pair_loops(ford, e_pos, e_neg):
         points.append(DiagramPoint(1, ford.f_asc[paired], ford.f_desc[e], EXTENDED_1))
     if not keep_zero:
         points = drop_zero_persistence(points)

@@ -16,9 +16,6 @@ import numpy as np
 
 from .graphs import EnclosingSubgraph, Graph, shortest_distances
 
-Simplex = "int | tuple[int, int]"
-
-
 @dataclass(eq=False)
 class FiltrationOrder:
     """Deterministic total orders of all simplices for the two passes.
@@ -49,11 +46,6 @@ class FiltrationOrder:
     @cached_property
     def desc_index(self) -> dict:
         return {s: i for i, s in enumerate(self.descending)}
-
-    def value(self, simplex, direction: str) -> float:
-        if isinstance(simplex, int):
-            return float(self.f_node[simplex])
-        return self.f_asc[simplex] if direction == "ascending" else self.f_desc[simplex]
 
 
 def distance_sum_filter(sub: EnclosingSubgraph, use_weights: bool = False) -> np.ndarray:

@@ -124,7 +124,6 @@ class EnclosingSubgraph:
     graph: Graph
     node_map: list[int]
     targets: tuple[int, int]
-    k: int
 
     def __post_init__(self):
         t1, t2 = self.targets
@@ -223,7 +222,7 @@ def enclosing_subgraph(
         if e in g.edge_weights:
             weights[le] = g.edge_weights[e]
     sub = Graph(len(node_map), edges, weights)
-    return EnclosingSubgraph(sub, node_map, (local[v1], local[v2]), k)
+    return EnclosingSubgraph(sub, node_map, (local[v1], local[v2]))
 
 
 def pair_count(n: int) -> int:
@@ -271,22 +270,3 @@ def sbm_generate(
     edges = list(zip(ii[mask].tolist(), jj[mask].tolist()))
     features = rng.random((n, feature_dim)) if feature_dim > 0 else None
     return Graph(n, edges, node_features=features)
-
-
-def connected_components(g: Graph) -> np.ndarray:
-    """Component label per node; labels are assigned in order of first discovery."""
-    labels = np.full(g.n, -1, dtype=int)
-    current = 0
-    for start in range(g.n):
-        if labels[start] != -1:
-            continue
-        labels[start] = current
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in g.adjacency[x]:
-                if labels[y] == -1:
-                    labels[y] = current
-                    queue.append(y)
-        current += 1
-    return labels

@@ -59,14 +59,6 @@ class ImageSpec:
             "bounds": list(self.bounds),
         }
 
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "ImageSpec":
-        return cls(
-            resolution=tuple(obj["resolution"]),
-            sigma=float(obj["sigma"]),
-            bounds=tuple(obj["bounds"]),
-        )
-
 
 def transform_diagram(diagram: PersistenceDiagram, absolute: bool = True) -> np.ndarray:
     """Map (birth, death) points to (birth, persistence); shape (k, 2).

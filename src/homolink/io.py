@@ -1,4 +1,4 @@
-"""File formats: edge lists, feature matrices, diagrams, dumps, manifests.
+"""File formats: edge lists, feature matrices, diagrams, curvatures, metrics, manifests.
 
 Edge list: one edge per line, ``u v [weight]``, whitespace-separated.
 Feature matrix: CSV, one row per node. All writers format floats with
@@ -8,12 +8,13 @@ Feature matrix: CSV, one row per node. All writers format floats with
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
 
 from .diagrams import PersistenceDiagram
-from .graphs import Graph
+from .graphs import Graph, canonical_edge
 
 
 def write_edge_list(g: Graph, path: str) -> None:
@@ -29,6 +30,7 @@ def write_edge_list(g: Graph, path: str) -> None:
 def read_edge_list(path: str, n: int | None = None) -> Graph:
     edges = []
     weights = {}
+    first_line = {}
     max_node = -1
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -44,9 +46,23 @@ def read_edge_list(path: str, n: int | None = None) -> Graph:
                 raise ValueError(f"{path}:{lineno}: node ids must be integers") from exc
             if u < 0 or v < 0:
                 raise ValueError(f"{path}:{lineno}: node ids must be nonnegative")
-            edges.append((u, v))
+            if u == v:
+                raise ValueError(f"{path}:{lineno}: self-loop at node {u}")
+            e = canonical_edge(u, v)
+            if e in first_line:
+                raise ValueError(
+                    f"{path}:{lineno}: duplicate edge {e}, first on line {first_line[e]}"
+                )
+            first_line[e] = lineno
+            edges.append(e)
             if len(parts) == 3:
-                weights[(u, v)] = float(parts[2])
+                try:
+                    w = float(parts[2])
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: weight must be a number") from exc
+                if not (w > 0 and math.isfinite(w)):
+                    raise ValueError(f"{path}:{lineno}: weight {w} is not positive and finite")
+                weights[e] = w
             max_node = max(max_node, u, v)
     count = max_node + 1 if n is None else n
     return Graph(count, edges, weights)
@@ -97,11 +113,6 @@ def write_diagram_json(diagram: PersistenceDiagram, path: str) -> None:
         fh.write("\n")
 
 
-def read_diagram_json(path: str) -> PersistenceDiagram:
-    with open(path) as fh:
-        return PersistenceDiagram.from_json_obj(json.load(fh))
-
-
 def write_manifest(out_dir: str, manifest: dict) -> None:
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -112,38 +123,6 @@ def write_curvatures(kappa: dict, path: str) -> None:
     with open(path, "w") as fh:
         for (u, v) in sorted(kappa):
             fh.write(f"{u} {v} {float(kappa[(u, v)])!r}\n")
-
-
-def write_feature_dump(features, path: str) -> None:
-    """One CSV row per pair: u, v, then the image values."""
-    with open(path, "w") as fh:
-        for feat in features:
-            u, v = feat.pair
-            values = ",".join(repr(float(x)) for x in feat.image)
-            fh.write(f"{u},{v},{values}\n")
-
-
-def read_feature_dump(path: str) -> list[tuple[tuple[int, int], np.ndarray]]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            pair = (int(parts[0]), int(parts[1]))
-            out.append((pair, np.array([float(x) for x in parts[2:]])))
-    return out
-
-
-def write_diagrams_jsonl(items, path: str) -> None:
-    """One JSON line per pair: {"u", "v", "diagram"}."""
-    with open(path, "w") as fh:
-        for (u, v), diagram in items:
-            fh.write(
-                json.dumps({"u": u, "v": v, "diagram": diagram.to_json_obj()}, sort_keys=True)
-            )
-            fh.write("\n")
 
 
 def write_metrics_csv(history, path: str) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,16 +24,6 @@ from .ricci import ricci_edge_weights
 logger = logging.getLogger(__name__)
 
 METRICS = ("hop", "ricci")
-
-
-@dataclass(eq=False)
-class PairFeature:
-    """Topological feature of one candidate node pair."""
-
-    pair: tuple[int, int]
-    diagram: PersistenceDiagram
-    image: np.ndarray
-    metadata: dict
 
 
 def apply_ricci_weights(g: Graph, alpha: float = 0.5) -> Graph:
@@ -65,27 +54,6 @@ def pair_diagram(
     f = distance_sum_filter(sub, use_weights=(metric == "ricci"))
     ford = build_filtration(sub.graph, f)
     return fast_extended_diagram(ford), sub.graph.n
-
-
-def pair_feature(
-    g: Graph,
-    u: int,
-    v: int,
-    k: int,
-    metric: str = "hop",
-    spec: ImageSpec | None = None,
-    drop_target_edge: bool = True,
-) -> PairFeature:
-    """Full feature for one pair: diagram and persistence image."""
-    spec = spec or ImageSpec()
-    diagram, size = pair_diagram(g, u, v, k, metric, drop_target_edge)
-    image = persistence_image(diagram, spec)
-    return PairFeature(
-        pair=(u, v),
-        diagram=diagram,
-        image=image,
-        metadata={"k": k, "metric": metric, "subgraph_size": size},
-    )
 
 
 def pair_image_table(

@@ -46,7 +46,6 @@ class ReductionMatrix:
 
     num_simplices: int
     columns: list[list[int]]
-    simplices: list
 
     @property
     def size(self) -> int:
@@ -94,7 +93,7 @@ def build_reduction_matrix(ford: FiltrationOrder) -> ReductionMatrix:
         else:
             u, v = s
             columns.append(sorted((asc[s], m + desc[u], m + desc[v])))
-    return ReductionMatrix(m, columns, list(ford.ascending) + list(ford.descending))
+    return ReductionMatrix(m, columns)
 
 
 def _sym_diff(a: list[int], b: list[int]) -> list[int]:

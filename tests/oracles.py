@@ -10,6 +10,8 @@ import itertools
 from collections import defaultdict, deque
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from homolink.diagrams import (
     ESSENTIAL_0,
@@ -54,26 +56,12 @@ def bfs_ball(g, v, k):
     return set(dist)
 
 
-def reachability_labels(g):
-    """Component labels from boolean matrix powers of the adjacency matrix."""
-    A = np.eye(g.n, dtype=bool)
-    for u, v in g.edges:
-        A[u, v] = A[v, u] = True
-    R = A.copy()
-    while True:
-        nxt = R | (R @ R)
-        if (nxt == R).all():
-            break
-        R = nxt
-    labels = [-1] * g.n
-    current = 0
-    for i in range(g.n):
-        if labels[i] == -1:
-            for j in range(g.n):
-                if R[i, j]:
-                    labels[j] = current
-            current += 1
-    return np.array(labels)
+def scipy_components(g):
+    """(component count, label per node) from ``scipy.sparse.csgraph.connected_components``."""
+    rows = [u for u, _ in g.edges]
+    cols = [v for _, v in g.edges]
+    adjacency = coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n))
+    return connected_components(adjacency, directed=False)
 
 
 def transport_min_cost(a, b, C, tol=1e-12):

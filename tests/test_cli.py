@@ -159,9 +159,12 @@ def test_bench_command_schema_and_errors(tmp_path, capsys):
     lines = read(out / "bench.csv").decode().strip().splitlines()
     assert lines[0] == "graph_id,n,m,t_reduction_s,t_fast_s,ratio"
     assert len(lines) == 3
-    rc = run(["bench", "--sizes", 40, "--repetitions", 0, "--out", tmp_path / "b2"])
-    assert rc == 1
-    assert "error" in capsys.readouterr().err
+    capsys.readouterr()
+    for bad in (["--repetitions", 0], ["--sizes", 40, 1], ["--graphs-per-size", 0]):
+        rc = run(["bench", "--sizes", 40, *bad, "--out", tmp_path / "b2"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "b2").exists()
 
 
 def test_train_command_report_and_determinism(tmp_path):

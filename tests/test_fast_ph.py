@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homolink.diagrams import ESSENTIAL_0
 from homolink.fast_ph import (
@@ -11,31 +13,33 @@ from homolink.fast_ph import (
     union_find_pass,
 )
 from homolink.filtration import build_filtration
-from homolink.graphs import Graph, connected_components
+from homolink.graphs import Graph
 from homolink.reduction import diagram_via_reduction
-from oracles import random_graph
+from oracles import random_graph, scipy_components
 
 
 def test_descending_pass_edge_classification(two_loop_graph, two_loop_filter):
     ford = build_filtration(two_loop_graph, two_loop_filter)
-    _, e_pos, e_neg = union_find_pass(ford, "descending")
+    _, e_pos, e_neg, roots = union_find_pass(ford, "descending")
     assert e_pos == [(1, 2), (0, 2)]
     assert e_neg == [(2, 3), (1, 3), (0, 3)]
+    assert roots == [3, 3, 3, 3]  # the maximum node
 
 
 def test_ascending_pass_pairs(two_loop_graph, two_loop_filter):
     ford = build_filtration(two_loop_graph, two_loop_filter)
-    pairs, e_pos, _ = union_find_pass(ford, "ascending")
+    pairs, e_pos, _, roots = union_find_pass(ford, "ascending")
     nonzero = [p for p in pairs if p[0] != p[1]]
     assert nonzero == [(2.0, 3.0)]
     assert e_pos == [(1, 3), (2, 3)]
+    assert roots == [0, 0, 0, 0]  # the minimum node
 
 
 def test_tree_input_has_no_positive_edges():
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (2, 4), (4, 5)])
     ford = build_filtration(g, np.arange(6, dtype=float))
     for direction in ("ascending", "descending"):
-        _, e_pos, e_neg = union_find_pass(ford, direction)
+        _, e_pos, e_neg, _ = union_find_pass(ford, direction)
         assert e_pos == []
         assert len(e_neg) == 5
 
@@ -123,8 +127,51 @@ def test_per_component_loop_count():
     g = Graph(13, edges)
     ford = build_filtration(g, rng.permutation(13).astype(float))
     d = fast_extended_diagram(ford, keep_zero=True)
-    comps = len(set(connected_components(g)))
+    comps, _ = scipy_components(g)
     assert len(d.in_dimension(1)) == g.num_edges - g.n + comps
+
+
+def _filtered_graph(draw_seed, n, p, levels, isolated):
+    """Random graph plus ``isolated`` edgeless nodes, with integer filter values in [0, levels)."""
+    rng = np.random.default_rng(draw_seed)
+    g = random_graph(rng, n, p)
+    g = Graph(n + isolated, g.edges)
+    return g, rng.integers(0, levels, size=g.n).astype(float)
+
+
+graphs_with_ties = st.builds(
+    _filtered_graph,
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 10),
+    st.floats(0.0, 0.7),
+    st.integers(1, 4),
+    st.integers(0, 3),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(graphs_with_ties)
+def test_essential_points_are_component_spans(case):
+    g, f = case
+    d = fast_extended_diagram(build_filtration(g, f), keep_zero=True)
+    _, labels = scipy_components(g)
+    spans = [(f[labels == c].min(), f[labels == c].max()) for c in set(labels.tolist())]
+    got = [(p.birth, p.death) for p in d.points if p.kind == ESSENTIAL_0]
+    assert sorted(got) == sorted(spans)
+
+
+@settings(deadline=None, max_examples=100)
+@given(graphs_with_ties, st.integers(0, 2**32 - 1))
+def test_diagram_invariant_under_node_relabelling(case, perm_seed):
+    g, f = case
+    perm = np.random.default_rng(perm_seed).permutation(g.n)  # old id -> new id
+    relabelled = Graph(g.n, [(int(perm[u]), int(perm[v])) for u, v in g.edges])
+    f_new = np.empty_like(f)
+    f_new[perm] = f
+    for keep in (False, True):
+        a = fast_extended_diagram(build_filtration(g, f), keep_zero=keep)
+        b = fast_extended_diagram(build_filtration(relabelled, f_new), keep_zero=keep)
+        assert a.as_multiset() == b.as_multiset()
 
 
 def test_bench_compare_consistency(two_loop_graph, two_loop_filter):

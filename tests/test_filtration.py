@@ -62,7 +62,7 @@ def test_distance_sum_filter_clamps_unreachable():
     # widen to include the isolated node by hand
     from homolink.graphs import EnclosingSubgraph
 
-    sub = EnclosingSubgraph(Graph(4, [(0, 1), (0, 2), (1, 2)]), [0, 1, 2, 3], (0, 1), 1)
+    sub = EnclosingSubgraph(Graph(4, [(0, 1), (0, 2), (1, 2)]), [0, 1, 2, 3], (0, 1))
     f = distance_sum_filter(sub)
     assert f[3] == f[:3].max() + 1.0
 
@@ -112,9 +112,13 @@ def test_order_monotone_in_filter_value():
     g = random_graph(rng, 14, 0.3)
     f = rng.permutation(14).astype(float)  # all distinct
     ford = build_filtration(g, f)
-    asc_vals = [ford.value(s, "ascending") for s in ford.ascending]
+    asc_vals = [
+        ford.f_node[s] if isinstance(s, int) else ford.f_asc[s] for s in ford.ascending
+    ]
     assert asc_vals == sorted(asc_vals)
-    desc_vals = [ford.value(s, "descending") for s in ford.descending]
+    desc_vals = [
+        ford.f_node[s] if isinstance(s, int) else ford.f_desc[s] for s in ford.descending
+    ]
     assert desc_vals == sorted(desc_vals, reverse=True)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from homolink.graphs import (
     Graph,
-    connected_components,
     enclosing_subgraph,
     k_hop_set,
     pair_count,
@@ -20,7 +19,6 @@ from oracles import (
     bfs_ball,
     brute_force_shortest,
     edge_scan_subgraph,
-    reachability_labels,
     shuffled_graph,
 )
 
@@ -231,25 +229,3 @@ def test_sbm_invalid_arguments():
         sbm_generate(10, 3, 0.5, 0.1, 0, seed=0)  # 3 does not divide 10
     with pytest.raises(ValueError):
         sbm_generate(10, 2, 0.1, 0.5, 0, seed=0)  # q > p
-
-
-def test_connected_components_edgeless_and_connected():
-    assert connected_components(Graph(3, [])).tolist() == [0, 1, 2]
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert len(set(connected_components(g))) == 1
-
-
-def test_connected_components_match_reachability():
-    rng = np.random.default_rng(11)
-    edges = [(i, j) for i, j in itertools.combinations(range(20), 2) if rng.random() < 0.08]
-    g = Graph(20, edges)
-    got = connected_components(g)
-    want = reachability_labels(g)
-    # same partition, labels may differ
-    by_got = {}
-    for node, lab in enumerate(got):
-        by_got.setdefault(lab, set()).add(node)
-    by_want = {}
-    for node, lab in enumerate(want):
-        by_want.setdefault(lab, set()).add(node)
-    assert sorted(map(sorted, by_got.values())) == sorted(map(sorted, by_want.values()))

@@ -9,12 +9,7 @@ from homolink import pipeline
 from homolink.filtration import build_filtration, distance_sum_filter
 from homolink.graphs import Graph, enclosing_subgraph, pair_rows, sbm_generate
 from homolink.images import ImageSpec, persistence_image
-from homolink.pipeline import (
-    apply_ricci_weights,
-    pair_diagram,
-    pair_feature,
-    pair_image_table,
-)
+from homolink.pipeline import apply_ricci_weights, pair_diagram, pair_image_table
 from homolink.reduction import diagram_via_reduction
 from oracles import shuffled_graph
 
@@ -23,38 +18,39 @@ SPEC = ImageSpec(resolution=(5, 5), sigma=0.4, bounds=(-0.5, 8.0, -0.5, 8.0))
 
 def test_disjoint_neighborhoods_give_zero_image():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    feat = pair_feature(g, 0, 4, 1, spec=SPEC)
-    assert len(feat.diagram) == 0
-    assert (feat.image == 0).all()
-    assert feat.metadata["subgraph_size"] == 2
+    diagram, size = pair_diagram(g, 0, 4, 1)
+    assert len(diagram) == 0
+    assert (persistence_image(diagram, SPEC) == 0).all()
+    assert size == 2
 
 
 def test_pair_feature_matches_reduction_oracle():
     g = sbm_generate(80, 4, 0.3, 0.03, 0, seed=12)
     for u, v in g.edges[:8]:
-        feat = pair_feature(g, u, v, 1, spec=SPEC)
+        diagram, _size = pair_diagram(g, u, v, 1)
         sub = enclosing_subgraph(g, u, v, 1, drop_target_edge=True)
         if sub.graph.n <= 2 and sub.graph.num_edges == 0:
-            assert len(feat.diagram) == 0
+            assert len(diagram) == 0
             continue
         ford = build_filtration(sub.graph, distance_sum_filter(sub))
         oracle = diagram_via_reduction(ford)
-        assert feat.diagram.as_multiset() == oracle.as_multiset()
+        assert diagram.as_multiset() == oracle.as_multiset()
+        assert np.array_equal(persistence_image(diagram, SPEC), persistence_image(oracle, SPEC))
 
 
 def test_pair_feature_symmetric_in_targets():
     g = sbm_generate(50, 5, 0.35, 0.05, 0, seed=21)
     u, v = g.edges[0]
-    a = pair_feature(g, u, v, 1, spec=SPEC)
-    b = pair_feature(g, v, u, 1, spec=SPEC)
-    assert a.diagram.as_multiset() == b.diagram.as_multiset()
-    assert np.array_equal(a.image, b.image)
+    a, _ = pair_diagram(g, u, v, 1)
+    b, _ = pair_diagram(g, v, u, 1)
+    assert a.as_multiset() == b.as_multiset()
+    assert np.array_equal(persistence_image(a, SPEC), persistence_image(b, SPEC))
 
 
 def test_pair_feature_rejects_unknown_metric():
     g = Graph(3, [(0, 1), (1, 2)])
     with pytest.raises(ValueError):
-        pair_feature(g, 0, 2, 1, metric="euclidean", spec=SPEC)
+        pair_diagram(g, 0, 2, 1, metric="euclidean")
 
 
 def test_ricci_weights_warn_when_replacing_input_weights(caplog):
@@ -118,7 +114,8 @@ def test_pair_table_row_symmetric_in_targets():
     table = pair_image_table(g, 1, "hop", SPEC)
     u, v = g.edges[0]
     assert pair_rows(u, v, g.n) == pair_rows(v, u, g.n)
-    assert np.array_equal(table[pair_rows(v, u, g.n)], pair_feature(g, v, u, 1, spec=SPEC).image)
+    image = persistence_image(pair_diagram(g, v, u, 1)[0], SPEC)
+    assert np.array_equal(table[pair_rows(v, u, g.n)], image)
 
 
 def test_pair_table_reuses_known_diagrams(monkeypatch):
