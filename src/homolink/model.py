@@ -7,6 +7,13 @@ prob = 1 / (exp(dist - 2) + 1). Everything is plain numpy with hand-written
 backpropagation; gradients are exact and checked against finite differences
 in the test suite. Persistence images are constants: no gradient flows into
 them.
+
+Training keeps one batch buffer for the node pairs and one for the decoder
+input; the training positives' part of each is written once, the sampled
+negatives' part every epoch. The validation pass after each Adam step runs
+the GCN forward pass at the updated parameters, which is exactly the forward
+pass of the next training step, so that step reuses it instead of running it
+again.
 """
 
 from __future__ import annotations
@@ -104,37 +111,50 @@ def gcn_forward(g: Graph, X: np.ndarray, state: ModelState) -> np.ndarray:
     return _gcn_intermediates(S, S @ X, state.params)[-1]
 
 
-def _decode_batch(Hu: np.ndarray, Hv: np.ndarray, PI: np.ndarray, params: dict):
-    F = np.concatenate([(Hu - Hv) ** 2, PI], axis=1)
+def _decode_pairs(H2: np.ndarray, pairs: np.ndarray, F: np.ndarray, params: dict):
+    """Edge probabilities of the node pairs ``pairs[0][i], pairs[1][i]`` from embeddings ``H2``.
+
+    ``F`` is the ``(len(pairs[0]), embed + image_dim)`` decoder input whose
+    image columns the caller has filled; its embedding columns are written
+    here. Returns the probabilities, the embedding differences, and the
+    leaky-ReLU slope and activation of the hidden layer.
+    """
+    diff = H2[pairs[0]] - H2[pairs[1]]
+    np.square(diff, out=F[:, : H2.shape[1]])
     Z1 = F @ params["mlp_w1"] + params["mlp_b1"]
-    A1 = np.maximum(Z1, LEAKY_SLOPE * Z1)
+    slope = np.where(Z1 > 0, 1.0, LEAKY_SLOPE)
+    A1 = Z1 * slope
     dist = (A1 @ params["mlp_w2"] + params["mlp_b2"]).ravel()
     prob = 1.0 / (np.exp(dist - 2.0) + 1.0)
-    return prob, (F, Z1, A1, dist)
+    return prob, diff, slope, A1
+
+
+def _decoder_input(pairs: np.ndarray, image_rows: np.ndarray, embed: int) -> np.ndarray:
+    """Decoder input buffer for ``pairs``, with the image columns filled."""
+    F = np.empty((pairs.shape[1], embed + image_rows.shape[1]))
+    F[:, embed:] = image_rows
+    return F
 
 
 def decode(h_u: np.ndarray, h_v: np.ndarray, pi: np.ndarray, state: ModelState) -> float:
     """Edge probability for one pair; symmetric in (h_u, h_v)."""
-    prob, _ = _decode_batch(
-        np.atleast_2d(h_u), np.atleast_2d(h_v), np.atleast_2d(pi), state.params
-    )
-    return float(prob[0])
+    H = np.vstack([h_u, h_v])
+    pairs = np.array([[0], [1]])
+    F = _decoder_input(pairs, np.atleast_2d(pi), H.shape[1])
+    return float(_decode_pairs(H, pairs, F, state.params)[0][0])
 
 
-def _unpack_batch(batch):
-    u_idx = np.array([b[0] for b in batch], dtype=int)
-    v_idx = np.array([b[1] for b in batch], dtype=int)
-    labels = np.array([b[2] for b in batch], dtype=float)
-    PI = np.vstack([np.asarray(b[3], dtype=float) for b in batch])
-    return u_idx, v_idx, labels, PI
+def _loss_and_grads(S, P1, pairs, labels, F, params, forward=None):
+    """Loss and gradients of one batch.
 
-
-def _loss_and_grads(S, P1, u_idx, v_idx, labels, PI, params):
+    ``pairs`` is a ``(2, B)`` index array and ``F`` the batch's decoder input
+    (see ``_decode_pairs``). ``forward`` is the GCN forward pass at
+    ``params``, if the caller already ran it.
+    """
     B = len(labels)
-    Z1g, H1, P2, H2 = _gcn_intermediates(S, P1, params)
-    Hu = H2[u_idx]
-    Hv = H2[v_idx]
-    prob, (F, Z1, A1, dist) = _decode_batch(Hu, Hv, PI, params)
+    Z1g, H1, P2, H2 = forward if forward is not None else _gcn_intermediates(S, P1, params)
+    embed = H2.shape[1]
+    prob, diff, slope, A1 = _decode_pairs(H2, pairs, F, params)
     p_hat = np.clip(prob, PROB_EPS, 1.0 - PROB_EPS)
     loss = -np.mean(labels * np.log(p_hat) + (1.0 - labels) * np.log(1.0 - p_hat))
 
@@ -144,18 +164,17 @@ def _loss_and_grads(S, P1, u_idx, v_idx, labels, PI, params):
     grads = {}
     grads["mlp_b2"] = np.array([d_dist.sum()])
     grads["mlp_w2"] = A1.T @ d_dist[:, None]
-    dA1 = d_dist[:, None] @ params["mlp_w2"].T
-    dZ1 = np.where(Z1 > 0, dA1, LEAKY_SLOPE * dA1)
+    dZ1 = np.multiply.outer(d_dist, params["mlp_w2"][:, 0]) * slope
     grads["mlp_w1"] = F.T @ dZ1
     grads["mlp_b1"] = dZ1.sum(axis=0)
-    dF = dZ1 @ params["mlp_w1"].T
+    # only the embedding columns of dF reach a parameter
+    dHu = (dZ1 @ params["mlp_w1"][:embed].T) * 2.0 * diff
 
-    embed = Hu.shape[1]
-    dSq = dF[:, :embed]
-    dHu = dSq * 2.0 * (Hu - Hv)
-    dH2 = np.zeros_like(H2)
-    np.add.at(dH2, u_idx, dHu)
-    np.add.at(dH2, v_idx, -dHu)
+    # scatter +dHu onto the u rows and -dHu onto the v rows; bincount adds
+    # each bin's terms from 0.0 in input order, as two np.add.at calls would
+    bins = (pairs.reshape(-1, 1) * embed + np.arange(embed)).ravel()
+    weights = np.concatenate([dHu, -dHu]).ravel()
+    dH2 = np.bincount(bins, weights=weights, minlength=H2.size).reshape(H2.shape)
 
     grads["w2"] = P2.T @ dH2
     dP2 = dH2 @ params["w2"].T
@@ -171,12 +190,15 @@ def loss_and_gradients(batch, g: Graph, X: np.ndarray, state: ModelState):
     ``batch`` is a sequence of (u, v, label, image vector) tuples with labels
     in {0, 1}. Probabilities are clamped away from 0 and 1 before the log.
     """
-    u_idx, v_idx, labels, PI = _unpack_batch(batch)
+    pairs = np.array([[b[0] for b in batch], [b[1] for b in batch]], dtype=int)
+    labels = np.array([b[2] for b in batch], dtype=float)
     if not np.isin(labels, (0.0, 1.0)).all():
         raise ValueError("labels must be 0 or 1")
+    PI = np.vstack([np.asarray(b[3], dtype=float) for b in batch])
+    F = _decoder_input(pairs, PI, state.params["w2"].shape[1])
     S = normalized_adjacency(g)
     P1 = S @ np.asarray(X, dtype=float)
-    return _loss_and_grads(S, P1, u_idx, v_idx, labels, PI, state.params)
+    return _loss_and_grads(S, P1, pairs, labels, F, state.params)
 
 
 def adam_step(state: ModelState, grads: dict, lr: float, weight_decay: float = 0.0) -> None:
@@ -291,22 +313,23 @@ class TrainResult:
     seed: int = 0
 
 
-def _pair_arrays(pairs) -> tuple[np.ndarray, np.ndarray]:
-    arr = np.array(pairs, dtype=int).reshape(-1, 2)
-    return arr[:, 0], arr[:, 1]
+def _pair_arrays(pairs) -> np.ndarray:
+    """The ``(2, m)`` node indices of a list of m pairs."""
+    return np.array(pairs, dtype=int).reshape(-1, 2).T
 
 
-def _eval_auc(S, P1, params, u_idx, v_idx, labels, PI):
-    H2 = _gcn_intermediates(S, P1, params)[-1]
-    prob, _ = _decode_batch(H2[u_idx], H2[v_idx], PI, params)
-    return roc_auc(prob, labels)
+def _eval_auc(S, P1, params, pairs, labels, F):
+    """ROC-AUC of the labelled pairs, and the GCN forward pass it ran at ``params``."""
+    forward = _gcn_intermediates(S, P1, params)
+    prob = _decode_pairs(forward[-1], pairs, F, params)[0]
+    return roc_auc(prob, labels), forward
 
 
-def _labelled(g: Graph, images: np.ndarray, pos, neg):
-    """Node indices, 0/1 labels and image rows of positives followed by negatives."""
-    u_idx, v_idx = _pair_arrays(pos + neg)
+def _labelled(g: Graph, images: np.ndarray, pos, neg, embed: int):
+    """Node indices, 0/1 labels and decoder input of positives followed by negatives."""
+    pairs = _pair_arrays(pos + neg)
     labels = np.concatenate([np.ones(len(pos)), np.zeros(len(neg))])
-    return u_idx, v_idx, labels, images[pair_rows(u_idx, v_idx, g.n)]
+    return pairs, labels, _decoder_input(pairs, images[pair_rows(*pairs, g.n)], embed)
 
 
 def train(
@@ -349,16 +372,21 @@ def train(
     seen = split.train_pos + split.val_pos + split.test_pos + split.val_neg + split.test_neg
     keep = np.ones(shape[0], dtype=bool)
     keep[pair_rows(*_pair_arrays(seen), g.n)] = False
-    pool = np.column_stack(np.triu_indices(g.n, k=1))[keep]
+    pool = np.vstack(np.triu_indices(g.n, k=1))[:, keep]
     pool_rows = np.flatnonzero(keep)
     n_train = len(split.train_pos)
-    if n_train == 0 or len(pool) < n_train:
+    if n_train == 0 or pool.shape[1] < n_train:
         raise ValueError("not enough non-edges to sample training negatives")
 
-    train_u, train_v = _pair_arrays(split.train_pos)
-    train_rows = pair_rows(train_u, train_v, g.n)
-    val = _labelled(g, images, split.val_pos, split.val_neg)
-    test = _labelled(g, images, split.test_pos, split.test_neg)
+    # the batch is the training positives, then as many sampled negatives:
+    # the positives' node pairs and image rows are written once, the
+    # negatives' every epoch
+    pairs = np.empty((2, 2 * n_train), dtype=int)
+    pairs[:, :n_train] = _pair_arrays(split.train_pos)
+    F = np.empty((2 * n_train, config.embed + config.image_dim))
+    F[:n_train, config.embed :] = images[pair_rows(*pairs[:, :n_train], g.n)]
+    val = _labelled(g, images, split.val_pos, split.val_neg, config.embed)
+    test = _labelled(g, images, split.test_pos, split.test_neg, config.embed)
 
     best_auc = -np.inf
     best_epoch = 0
@@ -366,14 +394,16 @@ def train(
     history: list[tuple[int, float, float]] = []
     labels = np.concatenate([np.ones(n_train), np.zeros(n_train)])
 
+    # the validation pass after each Adam step runs the forward pass that the
+    # next training step needs
+    forward = _gcn_intermediates(S, P1, state.params)
     for epoch in range(config.epochs):
-        neg_idx = rng.choice(len(pool), size=n_train, replace=False)
-        u_idx = np.concatenate([train_u, pool[neg_idx, 0]])
-        v_idx = np.concatenate([train_v, pool[neg_idx, 1]])
-        PI = images[np.concatenate([train_rows, pool_rows[neg_idx]])]
-        loss, grads = _loss_and_grads(S, P1, u_idx, v_idx, labels, PI, state.params)
+        neg_idx = rng.choice(pool.shape[1], size=n_train, replace=False)
+        pairs[:, n_train:] = pool[:, neg_idx]
+        F[n_train:, config.embed :] = images[pool_rows[neg_idx]]
+        loss, grads = _loss_and_grads(S, P1, pairs, labels, F, state.params, forward)
         adam_step(state, grads, config.lr, config.weight_decay)
-        val_auc = _eval_auc(S, P1, state.params, *val)
+        val_auc, forward = _eval_auc(S, P1, state.params, *val)
         history.append((epoch, loss, val_auc))
         if val_auc > best_auc:
             best_auc = val_auc
@@ -382,5 +412,5 @@ def train(
         elif epoch - best_epoch >= config.patience:
             break
 
-    test_auc = _eval_auc(S, P1, best_state.params, *test)
+    test_auc = _eval_auc(S, P1, best_state.params, *test)[0]
     return TrainResult(best_state, history, test_auc, best_epoch, config.seed)

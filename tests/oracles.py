@@ -146,6 +146,44 @@ def gcn_dense_oracle(g, X, w1, w2):
     return H2
 
 
+def dense_loss_and_grads(S, P1, u_idx, v_idx, labels, PI, params, slope=0.2, eps=1e-12):
+    """Reference training step: loss and gradients with every intermediate formed in full.
+
+    Builds the concatenated decoder input, applies the leaky ReLU and its
+    derivative with ``np.where``, forms the whole decoder-input gradient and
+    scatters the pair gradients with two ``np.add.at`` calls.
+    """
+    B = len(labels)
+    Z1g = P1 @ params["w1"]
+    H1 = np.maximum(Z1g, 0.0)
+    P2 = S @ H1
+    H2 = P2 @ params["w2"]
+    Hu, Hv = H2[u_idx], H2[v_idx]
+    F = np.concatenate([(Hu - Hv) ** 2, PI], axis=1)
+    Z1 = F @ params["mlp_w1"] + params["mlp_b1"]
+    A1 = np.where(Z1 > 0, Z1, slope * Z1)
+    dist = (A1 @ params["mlp_w2"] + params["mlp_b2"]).ravel()
+    prob = 1.0 / (np.exp(dist - 2.0) + 1.0)
+    p_hat = np.clip(prob, eps, 1.0 - eps)
+    loss = -np.mean(labels * np.log(p_hat) + (1.0 - labels) * np.log(1.0 - p_hat))
+
+    d_dist = np.where((prob > eps) & (prob < 1.0 - eps), (labels - prob) / B, 0.0)
+    grads = {"mlp_b2": np.array([d_dist.sum()]), "mlp_w2": A1.T @ d_dist[:, None]}
+    dA1 = d_dist[:, None] @ params["mlp_w2"].T
+    dZ1 = np.where(Z1 > 0, dA1, slope * dA1)
+    grads["mlp_w1"] = F.T @ dZ1
+    grads["mlp_b1"] = dZ1.sum(axis=0)
+    dF = dZ1 @ params["mlp_w1"].T
+    dHu = dF[:, : Hu.shape[1]] * 2.0 * (Hu - Hv)
+    dH2 = np.zeros_like(H2)
+    np.add.at(dH2, u_idx, dHu)
+    np.add.at(dH2, v_idx, -dHu)
+    grads["w2"] = P2.T @ dH2
+    dZ1g = (S.T @ (dH2 @ params["w2"].T)) * (Z1g > 0)
+    grads["w1"] = P1.T @ dZ1g
+    return float(loss), grads
+
+
 def pairwise_auc(scores, labels):
     """Mann-Whitney by explicit pair counting."""
     pos = [s for s, y in zip(scores, labels) if y == 1]

@@ -1,19 +1,25 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from homolink import model
 from homolink.graphs import Graph, pair_count, pair_rows, sbm_generate
 from homolink.model import (
     TrainConfig,
+    _gcn_intermediates,
+    _loss_and_grads,
     adam_step,
     decode,
     gcn_forward,
     init_model,
     loss_and_gradients,
     make_split,
+    normalized_adjacency,
     roc_auc,
     train,
 )
-from oracles import gcn_dense_oracle, pairwise_auc, random_graph
+from oracles import dense_loss_and_grads, gcn_dense_oracle, pairwise_auc, random_graph
 
 
 def small_state(d_in, image_dim, seed=0):
@@ -170,6 +176,45 @@ def test_gradients_match_finite_differences(seed):
     assert gradcheck(state, batch, g, X) <= 1e-4
 
 
+def assert_rel_close(got, want, rtol=1e-12):
+    want = np.asarray(want)
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=rtol * np.abs(want).max())
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 6),
+    distinct=st.integers(1, 5),
+    batch=st.integers(1, 14),
+    image_dim=st.integers(1, 3),
+)
+def test_step_matches_dense_reference(seed, n, distinct, batch, image_dim):
+    # a batch drawn with replacement from a few pairs of a small graph, so
+    # nodes and whole pairs repeat and the scatter must add every term
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, 0.5)
+    X = rng.normal(size=(n, 3))
+    params = small_state(3, image_dim, seed=rng).params
+    base = rng.integers(n, size=(2, distinct))
+    pairs = base[:, rng.integers(distinct, size=batch)]
+    labels = rng.integers(0, 2, size=batch).astype(float)
+    PI = rng.uniform(size=(batch, image_dim))
+    S = normalized_adjacency(g)
+    P1 = S @ X
+    want_loss, want = dense_loss_and_grads(S, P1, pairs[0], pairs[1], labels, PI, params)
+    embed = params["w2"].shape[1]
+    for forward in (None, _gcn_intermediates(S, P1, params)):
+        # the step must write the embedding columns itself
+        F = np.full((batch, embed + image_dim), np.nan)
+        F[:, embed:] = PI
+        loss, grads = _loss_and_grads(S, P1, pairs, labels, F, params, forward)
+        assert_rel_close(loss, want_loss)
+        assert grads.keys() == want.keys()
+        for key in want:
+            assert_rel_close(grads[key], want[key])
+
+
 def test_adam_zero_learning_rate_freezes_parameters():
     state = small_state(3, 2, seed=11)
     before = {k: v.copy() for k, v in state.params.items()}
@@ -284,6 +329,18 @@ def test_train_deterministic_history():
     r2 = train(train_graph, g.node_features, split, zero_table(train_graph, 4), config)
     assert r1.history == r2.history
     assert r1.test_auc == r2.test_auc
+
+
+def test_train_evaluates_once_per_epoch_and_once_at_test(monkeypatch):
+    calls = []
+    real = model.roc_auc
+    monkeypatch.setattr(model, "roc_auc", lambda scores, labels: calls.append(1) or real(scores, labels))
+    g, train_graph, split = make_training_setup(seed=3)
+    for epochs, patience in [(6, 10), (200, 2)]:
+        calls.clear()
+        config = TrainConfig(epochs=epochs, patience=patience, seed=3, hidden=8, embed=4, mlp_hidden=6, image_dim=4)
+        result = train(train_graph, g.node_features, split, zero_table(train_graph, 4), config)
+        assert len(calls) == len(result.history) + 1
 
 
 def test_train_rejects_table_of_wrong_shape():
