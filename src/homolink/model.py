@@ -29,6 +29,8 @@ PROB_EPS = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# rows per partial product of the batch-long gradient sum
+GRAD_CHUNK = 512
 
 PARAM_KEYS = ("w1", "w2", "mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2")
 
@@ -165,7 +167,11 @@ def _loss_and_grads(S, P1, pairs, labels, F, params, forward=None):
     grads["mlp_b2"] = np.array([d_dist.sum()])
     grads["mlp_w2"] = A1.T @ d_dist[:, None]
     dZ1 = np.multiply.outer(d_dist, params["mlp_w2"][:, 0]) * slope
-    grads["mlp_w1"] = F.T @ dZ1
+    # summed over fixed row chunks in order: BLAS splits one long inner
+    # dimension by its thread count, which would make the bits depend on it
+    grads["mlp_w1"] = sum(
+        F[i : i + GRAD_CHUNK].T @ dZ1[i : i + GRAD_CHUNK] for i in range(0, B, GRAD_CHUNK)
+    )
     grads["mlp_b1"] = dZ1.sum(axis=0)
     # only the embedding columns of dF reach a parameter
     dHu = (dZ1 @ params["mlp_w1"][:embed].T) * 2.0 * diff

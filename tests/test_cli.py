@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import homolink
 from homolink.cli import main
 from homolink.graphs import Graph
 from homolink.io import read_edge_list, read_features_csv, write_edge_list
@@ -183,6 +188,33 @@ def test_train_command_report_and_determinism(tmp_path):
         assert read(out1 / name) == read(out2 / name)
     header = read(out1 / "metrics.csv").decode().splitlines()[0]
     assert header == "epoch,train_loss,val_auc"
+
+
+def test_seeded_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the thread count is read when numpy loads, so each run is a fresh process
+    data = tmp_path / "data"
+    assert run(["sbm", "--n", 80, "--c", 4, "--p", 0.3, "--q", 0.03, "--d", 4,
+                "--seed", 5, "--out", data]) == 0
+    commands = {
+        "train": (["train", "--graph", data / "edges.txt", "--features", data / "features.csv",
+                   "--k", 1, "--metric", "ricci", "--epochs", 20, "--patience", 30, "--seed", 3],
+                  ["report.json", "metrics.csv"]),
+        "ricci": (["ricci", "--graph", data / "edges.txt", "--alpha", 0.5, "--seed", 1],
+                  ["curvatures.txt"]),
+    }
+    src = str(Path(homolink.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+        for name, (args, files) in commands.items():
+            out = tmp_path / f"{name}{threads}"
+            cmd = [sys.executable, "-m", "homolink.cli", *map(str, args), "--out", str(out)]
+            subprocess.run(cmd, env=env, check=True, capture_output=True, timeout=300)
+            for fname in files:
+                outputs.setdefault(fname, []).append(read(out / fname))
+    for fname, (one, two) in outputs.items():
+        assert one == two, f"{fname} differs between 1 and 2 BLAS threads"
 
 
 def test_train_config_file_overrides(tmp_path):
