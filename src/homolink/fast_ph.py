@@ -300,4 +300,6 @@ def bench_compare(inputs, repetitions: int = 1) -> BenchReport:
             fast_extended_diagram(ford)
         t_fast = (time.perf_counter() - t0) / repetitions
         rows.append(BenchRow(gid, g.n, g.num_edges, t_red, t_fast))
+    if not rows:
+        raise ValueError("bench_compare needs at least one (graph, filter) input")
     return BenchReport(rows, repetitions)

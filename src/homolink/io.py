@@ -46,6 +46,8 @@ def read_edge_list(path: str, n: int | None = None) -> Graph:
                 raise ValueError(f"{path}:{lineno}: node ids must be integers") from exc
             if u < 0 or v < 0:
                 raise ValueError(f"{path}:{lineno}: node ids must be nonnegative")
+            if n is not None and max(u, v) >= n:
+                raise ValueError(f"{path}:{lineno}: node id {max(u, v)} out of range for n={n}")
             if u == v:
                 raise ValueError(f"{path}:{lineno}: self-loop at node {u}")
             e = canonical_edge(u, v)

@@ -185,6 +185,11 @@ def test_bench_compare_consistency(two_loop_graph, two_loop_filter):
     assert header == "graph_id,n,m,t_reduction_s,t_fast_s,ratio"
 
 
+def test_bench_compare_rejects_empty_input():
+    with pytest.raises(ValueError, match="at least one"):
+        bench_compare([])
+
+
 def test_bench_compare_rejects_zero_repetitions(two_loop_graph, two_loop_filter):
     with pytest.raises(ValueError):
         bench_compare([(two_loop_graph, two_loop_filter)], repetitions=0)

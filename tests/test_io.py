@@ -51,21 +51,22 @@ def test_edge_list_rejects_infinite_weight(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "text, n, message",
     [
-        ("0 1\n1 2 abc\n", r"edges\.txt:2: weight must be a number"),
-        ("# header\n0 1\n1 1\n", r"edges\.txt:3: self-loop at node 1"),
-        ("0 1 nan\n", r"edges\.txt:1: weight nan is not positive and finite"),
-        ("0 1 -2.0\n", r"edges\.txt:1: weight -2\.0 is not positive and finite"),
-        ("0 1\n1 2\n\n2 1\n", r"edges\.txt:4: duplicate edge \(1, 2\), first on line 2"),
+        ("0 1\n1 2 abc\n", None, r"edges\.txt:2: weight must be a number"),
+        ("# header\n0 1\n1 1\n", None, r"edges\.txt:3: self-loop at node 1"),
+        ("0 1 nan\n", None, r"edges\.txt:1: weight nan is not positive and finite"),
+        ("0 1 -2.0\n", None, r"edges\.txt:1: weight -2\.0 is not positive and finite"),
+        ("0 1\n1 2\n\n2 1\n", None, r"edges\.txt:4: duplicate edge \(1, 2\), first on line 2"),
+        ("0 1\n1 5\n", 3, r"edges\.txt:2: node id 5 out of range for n=3"),
     ],
-    ids=["text-weight", "self-loop", "nan-weight", "negative-weight", "duplicate-edge"],
+    ids=["text-weight", "self-loop", "nan-weight", "negative-weight", "duplicate-edge", "id-out-of-range"],
 )
-def test_edge_list_errors_name_the_line(tmp_path, text, message):
+def test_edge_list_errors_name_the_line(tmp_path, text, n, message):
     path = tmp_path / "edges.txt"
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
-        read_edge_list(path)
+        read_edge_list(path, n=n)
 
 
 def test_edge_list_skips_comments_and_blanks(tmp_path):

@@ -109,6 +109,19 @@ def test_pair_table_rows_match_pair_diagram(seed, n, p, k, metric):
         assert np.array_equal(table[row], persistence_image(diagram, SPEC))
 
 
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9), p=st.floats(0.2, 0.9))
+def test_hop_k1_diagram_empty_once_target_edge_dropped(seed, n, p):
+    # without (u, v), every node of the 1-hop intersection is at hop distance
+    # 1 from both targets or is a target itself, so the filter is constant
+    g = shuffled_graph(np.random.default_rng(seed), n, p, weighted=True)
+    for u, v in itertools.combinations(range(n), 2):
+        assert len(pair_diagram(g, u, v, 1, "hop")[0]) == 0
+        if g.has_edge(u, v) and set(g.neighbors(u)) & set(g.neighbors(v)):
+            kept = pair_diagram(g, u, v, 1, "hop", drop_target_edge=False)[0]
+            assert len(kept) > 0
+
+
 def test_pair_table_row_symmetric_in_targets():
     g = sbm_generate(30, 3, 0.4, 0.05, 0, seed=40)
     table = pair_image_table(g, 1, "hop", SPEC)
