@@ -193,13 +193,16 @@ def _loss_and_grads(S, P1, pairs, labels, F, params, forward=None):
 def loss_and_gradients(batch, g: Graph, X: np.ndarray, state: ModelState):
     """Mean binary cross-entropy over the batch and exact gradients for all parameters.
 
-    ``batch`` is a sequence of (u, v, label, image vector) tuples with labels
-    in {0, 1}. Probabilities are clamped away from 0 and 1 before the log.
+    ``batch`` is a sequence of (u, v, label, image vector) tuples with node
+    ids in ``[0, g.n)`` and labels in {0, 1}. Probabilities are clamped away
+    from 0 and 1 before the log.
     """
     pairs = np.array([[b[0] for b in batch], [b[1] for b in batch]], dtype=int)
     labels = np.array([b[2] for b in batch], dtype=float)
     if not np.isin(labels, (0.0, 1.0)).all():
         raise ValueError("labels must be 0 or 1")
+    if pairs.min() < 0 or pairs.max() >= g.n:
+        raise ValueError(f"node ids must lie in [0, {g.n})")
     PI = np.vstack([np.asarray(b[3], dtype=float) for b in batch])
     F = _decoder_input(pairs, PI, state.params["w2"].shape[1])
     S = normalized_adjacency(g)

@@ -143,6 +143,13 @@ def test_loss_rejects_bad_labels():
         loss_and_gradients([(0, 1, 2, np.zeros(2))], g, np.eye(2), small_state(2, 2))
 
 
+@pytest.mark.parametrize("v", [-1, 2])
+def test_loss_rejects_node_ids_out_of_range(v):
+    g = Graph(2, [(0, 1)])
+    with pytest.raises(ValueError, match="node ids"):
+        loss_and_gradients([(0, v, 1, np.zeros(2))], g, np.eye(2), small_state(2, 2))
+
+
 def gradcheck(state, batch, g, X, h=1e-5, rtol=1e-4):
     _, grads = loss_and_gradients(batch, g, X, state)
     worst = 0.0
