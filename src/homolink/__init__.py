@@ -5,6 +5,12 @@ filtered graph (boundary-matrix reduction and a faster union-find /
 spanning-tree algorithm), distance-sum filtrations over enclosing subgraphs,
 Ollivier-Ricci edge weights, persistence images, and a desk-scale GCN link
 predictor that consumes them.
+
+The package exports the diagram types, the per-pair feature pipeline, the
+experiment entry points and the oracles the acceptance criteria call.
+Internals, such as filtration orders, union-find passes, the reduction's
+stages, training configuration and curvature, are imported from their
+modules (``homolink.model.TrainConfig``, ``homolink.ricci.ollivier_ricci``).
 """
 
 from .diagrams import (
@@ -15,47 +21,14 @@ from .diagrams import (
     DiagramPoint,
     PersistenceDiagram,
 )
-from .experiment import ExperimentResult, run_link_prediction
-from .fast_ph import bench_compare, fast_extended_diagram, loop_pairings, union_find_pass
-from .filtration import FiltrationOrder, build_filtration, distance_sum_filter
-from .graphs import (
-    EnclosingSubgraph,
-    Graph,
-    enclosing_subgraph,
-    k_hop_set,
-    pair_count,
-    pair_rows,
-    sbm_generate,
-    shortest_distances,
-)
-from .images import (
-    ImageSpec,
-    bounds_from_diagrams,
-    persistence_image,
-    spec_for_diagrams,
-    transform_diagram,
-)
-from .model import (
-    DataSplit,
-    ModelState,
-    TrainConfig,
-    TrainResult,
-    decode,
-    gcn_forward,
-    init_model,
-    loss_and_gradients,
-    make_split,
-    roc_auc,
-    train,
-)
+from .experiment import run_link_prediction
+from .fast_ph import bench_compare, fast_extended_diagram
+from .filtration import build_filtration, distance_sum_filter
+from .graphs import Graph, enclosing_subgraph, pair_rows, sbm_generate
+from .images import ImageSpec, persistence_image
+from .model import init_model, loss_and_gradients, make_split
 from .pipeline import apply_ricci_weights, pair_diagram, pair_image_table
-from .reduction import (
-    ReductionMatrix,
-    build_reduction_matrix,
-    diagram_via_reduction,
-    reduce_matrix,
-    reduction_pairs,
-)
-from .ricci import DiscreteMeasure, ollivier_ricci, ricci_edge_weights, wasserstein1
+from .reduction import diagram_via_reduction
+from .ricci import DiscreteMeasure, wasserstein1
 
 __version__ = "0.1.0"

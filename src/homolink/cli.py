@@ -268,7 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="end-to-end link-prediction experiment")
     _add_graph_args(p)
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--metric", choices=("hop", "ricci"), default="hop")
+    # hop at k=1 gives every pair an empty diagram (the filter is constant
+    # once the target edge is dropped), so its topology run is the ablated one
+    p.add_argument("--metric", choices=("hop", "ricci"), default="ricci")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--epochs", type=int, default=2000)
     p.add_argument("--lr", type=float, default=0.01)

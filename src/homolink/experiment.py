@@ -11,6 +11,7 @@ diagrams, since nothing would read them.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,6 +20,8 @@ from .graphs import Graph, pair_count
 from .images import ImageSpec, spec_for_diagrams
 from .model import DataSplit, TrainConfig, TrainResult, make_split, train
 from .pipeline import METRICS, apply_ricci_weights, pair_diagram, pair_image_table
+
+logger = logging.getLogger(__name__)
 
 DEFAULT_RICCI_ALPHA = 0.5
 
@@ -52,7 +55,6 @@ def run_link_prediction(
     metric: str = "hop",
     config: TrainConfig | None = None,
     resolution: tuple[int, int] = (5, 5),
-    sigma: float | None = None,
     ablate_topology: bool = False,
     ricci_alpha: float = DEFAULT_RICCI_ALPHA,
 ) -> ExperimentResult:
@@ -81,7 +83,14 @@ def run_link_prediction(
         train_diagrams = [
             pair_diagram(feature_graph, u, v, k, metric)[0] for u, v in split.train_pos
         ]
-        image_spec = spec_for_diagrams(train_diagrams, resolution=resolution, sigma=sigma)
+        if not any(train_diagrams):
+            logger.warning(
+                "every training-positive diagram is empty at k=%d, metric=%s, so the "
+                "image grid is fitted to no point; try k=2 or metric='ricci'",
+                k,
+                metric,
+            )
+        image_spec = spec_for_diagrams(train_diagrams, resolution=resolution)
         images = pair_image_table(
             feature_graph, k, metric, image_spec, known=zip(split.train_pos, train_diagrams)
         )

@@ -96,7 +96,6 @@ class _LoopForest:
     """
 
     def __init__(self, n: int, tree_edges):
-        self.n = n
         self.parent: list[int] = [-1] * n
         self.pedge: list = [None] * n
         adj: list[list] = [[] for _ in range(n)]
@@ -175,34 +174,15 @@ class _LoopForest:
         self.parent[attach_at] = other
         self.pedge[attach_at] = new_edge
 
-    def validate(self) -> None:
-        """Check the parent pointers still encode a spanning forest."""
-        for x in range(self.n):
-            seen = {x}
-            y = x
-            while self.parent[y] != -1:
-                e = self.pedge[y]
-                if e is None or set(e) != {y, self.parent[y]}:
-                    raise AssertionError(f"inconsistent parent edge at node {y}")
-                y = self.parent[y]
-                if y in seen:
-                    raise AssertionError(f"cycle in parent pointers through node {x}")
-                seen.add(y)
 
-
-def loop_pairings(ford: FiltrationOrder, check_invariants: bool = False):
+def _pair_loops(ford: FiltrationOrder, e_pos, e_neg):
     """Pair every positive descending edge with the ascending-latest edge of its loop.
 
-    Returns (positive edge, paired edge, loop edge list) triples in the order
-    the positive edges appear in the descending filtration. The loop includes
-    the positive edge itself.
+    ``e_pos`` and ``e_neg`` are the positive and negative edges of the
+    descending pass. Returns (positive edge, paired edge, loop edge list)
+    triples in the order the positive edges appear in the descending
+    filtration. The loop includes the positive edge itself.
     """
-    _, e_pos, e_neg, _ = union_find_pass(ford, "descending")
-    return _pair_loops(ford, e_pos, e_neg, check_invariants)
-
-
-def _pair_loops(ford: FiltrationOrder, e_pos, e_neg, check_invariants: bool = False):
-    """``loop_pairings`` on the positive and negative edges of a descending pass."""
     asc = ford.asc_index
     forest = _LoopForest(ford.n, e_neg)
     out = []
@@ -215,8 +195,6 @@ def _pair_loops(ford: FiltrationOrder, e_pos, e_neg, check_invariants: bool = Fa
         if paired != e:
             attach_at = u if paired in u_side else v
             forest.swap(paired, e, attach_at)
-            if check_invariants:
-                forest.validate()
     return out
 
 

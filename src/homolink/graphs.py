@@ -73,10 +73,6 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def _edge_set(self) -> set[Edge]:
-        return set(self.edges)
-
-    @cached_property
     def _edge_index(self) -> dict[Edge, int]:
         """Position of each canonical edge in ``edges``."""
         return {e: i for i, e in enumerate(self.edges)}
@@ -90,16 +86,13 @@ class Graph:
         return adj
 
     def has_edge(self, u: int, v: int) -> bool:
-        return canonical_edge(u, v) in self._edge_set
+        return canonical_edge(u, v) in self._edge_index
 
     def weight(self, u: int, v: int) -> float:
         return self.edge_weights.get(canonical_edge(u, v), 1.0)
 
     def neighbors(self, v: int) -> list[int]:
         return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
 
     def without_edges(self, drop) -> "Graph":
         """Copy of the graph with the given edges removed (weights and features kept)."""

@@ -106,10 +106,8 @@ def persistence_image(
     return img.ravel()
 
 
-def bounds_from_diagrams(
-    diagrams, margin: float = BOUNDS_MARGIN, absolute: bool = True
-) -> tuple[float, float, float, float]:
-    """Bounding rectangle of the transformed points, expanded by ``margin`` per side.
+def bounds_from_diagrams(diagrams, absolute: bool = True) -> tuple[float, float, float, float]:
+    """Bounding rectangle of the transformed points, expanded by ``BOUNDS_MARGIN`` per side.
 
     Degenerate extents are padded so the rectangle is always usable; with no
     points at all the unit square is returned.
@@ -121,8 +119,8 @@ def bounds_from_diagrams(
     allp = np.vstack(pts)
     x_min, y_min = (float(t) for t in allp.min(axis=0))
     x_max, y_max = (float(t) for t in allp.max(axis=0))
-    pad_x = margin * (x_max - x_min) if x_max > x_min else 0.5
-    pad_y = margin * (y_max - y_min) if y_max > y_min else 0.5
+    pad_x = BOUNDS_MARGIN * (x_max - x_min) if x_max > x_min else 0.5
+    pad_y = BOUNDS_MARGIN * (y_max - y_min) if y_max > y_min else 0.5
     return (x_min - pad_x, x_max + pad_x, y_min - pad_y, y_max + pad_y)
 
 
@@ -130,11 +128,10 @@ def spec_for_diagrams(
     diagrams,
     resolution: tuple[int, int] = DEFAULT_RESOLUTION,
     sigma: float | None = None,
-    margin: float = BOUNDS_MARGIN,
     absolute: bool = True,
 ) -> ImageSpec:
     """ImageSpec with bounds fit to the diagrams; sigma defaults to a fifth of the longer side."""
-    bounds = bounds_from_diagrams(diagrams, margin=margin, absolute=absolute)
+    bounds = bounds_from_diagrams(diagrams, absolute=absolute)
     if sigma is None:
         x_min, x_max, y_min, y_max = bounds
         sigma = SIGMA_FRACTION * max(x_max - x_min, y_max - y_min)

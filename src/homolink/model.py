@@ -92,25 +92,17 @@ def normalized_adjacency(g: Graph) -> np.ndarray:
 
 
 def _gcn_intermediates(S: np.ndarray, P1: np.ndarray, params: dict):
-    """Forward pass from the propagated features ``P1 = S @ X``, which do not change in training."""
+    """Two-layer GCN forward pass from the propagated features ``P1 = S @ X``.
+
+    H1 = relu(S X W1) and H2 = S H1 W2, with S the normalized adjacency; the
+    activation sits on the hidden layer only. ``P1`` does not change in
+    training, so callers compute it once.
+    """
     Z1 = P1 @ params["w1"]
     H1 = np.maximum(Z1, 0.0)
     P2 = S @ H1
     H2 = P2 @ params["w2"]
     return Z1, H1, P2, H2
-
-
-def gcn_forward(g: Graph, X: np.ndarray, state: ModelState) -> np.ndarray:
-    """Node embeddings from the two-layer graph convolution.
-
-    H1 = relu(S X W1), H = S H1 W2 with S the normalized adjacency; the
-    activation sits on the hidden layer only.
-    """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != g.n:
-        raise ValueError("X must be an (n, d) feature matrix")
-    S = normalized_adjacency(g)
-    return _gcn_intermediates(S, S @ X, state.params)[-1]
 
 
 def _decode_pairs(H2: np.ndarray, pairs: np.ndarray, F: np.ndarray, params: dict):
@@ -136,14 +128,6 @@ def _decoder_input(pairs: np.ndarray, image_rows: np.ndarray, embed: int) -> np.
     F = np.empty((pairs.shape[1], embed + image_rows.shape[1]))
     F[:, embed:] = image_rows
     return F
-
-
-def decode(h_u: np.ndarray, h_v: np.ndarray, pi: np.ndarray, state: ModelState) -> float:
-    """Edge probability for one pair; symmetric in (h_u, h_v)."""
-    H = np.vstack([h_u, h_v])
-    pairs = np.array([[0], [1]])
-    F = _decoder_input(pairs, np.atleast_2d(pi), H.shape[1])
-    return float(_decode_pairs(H, pairs, F, state.params)[0][0])
 
 
 def _loss_and_grads(S, P1, pairs, labels, F, params, forward=None):

@@ -61,24 +61,6 @@ class DiscreteMeasure:
         return np.array([self.mass[s] for s in support])
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError("alpha must lie in [0, 1)")
-
-
-def lazy_walk_measure(g: Graph, z: int, alpha: float = 0.5) -> DiscreteMeasure:
-    """Idleness alpha at z, remaining mass spread uniformly over neighbors."""
-    _check_alpha(alpha)
-    deg = g.degree(z)
-    if deg == 0:
-        raise ValueError(f"node {z} has no neighbors")
-    mass = {z: alpha}
-    share = (1.0 - alpha) / deg
-    for y in g.neighbors(z):
-        mass[y] = mass.get(y, 0.0) + share
-    return DiscreteMeasure(mass)
-
-
 def _transport(blocks: list[tuple[np.ndarray, np.ndarray, np.ndarray]]) -> np.ndarray:
     """Exact W1 of every (a, b, C) block, solved together as one block-diagonal LP.
 
@@ -158,7 +140,8 @@ def ollivier_ricci(g: Graph, alpha: float = 0.5) -> dict[Edge, float]:
 
     Edges go to the LP ``EDGE_CHUNK`` at a time, in the order of ``g.edges``.
     """
-    _check_alpha(alpha)
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError("alpha must lie in [0, 1)")
     nbrs = [set(adj) for adj in g.adjacency]
     kappa: dict[Edge, float] = {}
     for start in range(0, g.num_edges, EDGE_CHUNK):

@@ -64,6 +64,30 @@ def scipy_components(g):
     return connected_components(adjacency, directed=False)
 
 
+def lazy_walk_measure(g, z, alpha=0.5):
+    """Reference walk measure: idleness alpha at z, the rest spread evenly over its neighbors."""
+    from homolink.ricci import DiscreteMeasure
+
+    share = (1.0 - alpha) / len(g.neighbors(z))
+    return DiscreteMeasure({z: alpha, **{y: share for y in g.neighbors(z)}})
+
+
+def check_spanning_forest(parent, pedge):
+    """Check that parent pointers encode a forest: no cycles, and each
+    node's parent edge joins it to its parent."""
+    for x in range(len(parent)):
+        seen = {x}
+        y = x
+        while parent[y] != -1:
+            e = pedge[y]
+            if e is None or set(e) != {y, parent[y]}:
+                raise AssertionError(f"inconsistent parent edge at node {y}")
+            y = parent[y]
+            if y in seen:
+                raise AssertionError(f"cycle in parent pointers through node {x}")
+            seen.add(y)
+
+
 def transport_min_cost(a, b, C, tol=1e-12):
     """Exact transportation optimum by enumerating basic feasible solutions.
 

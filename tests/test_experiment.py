@@ -56,3 +56,37 @@ def test_topology_run_computes_each_pair_diagram_once(monkeypatch):
     result = experiment.run_link_prediction(g, k=1, metric="hop", config=config)
     assert sorted(calls) == list(itertools.combinations(range(g.n), 2))
     assert len(result.train_result.history) == 2
+
+
+@pytest.mark.parametrize("metric", ["hop", "ricci"])
+def test_held_out_edges_reach_neither_features_nor_training(monkeypatch, metric):
+    graphs = {}
+
+    def capture(name, original):
+        def wrapper(g, *args, **kwargs):
+            graphs.setdefault(name, []).append(g)
+            return original(g, *args, **kwargs)
+
+        monkeypatch.setattr(experiment, name, wrapper)
+
+    capture("pair_diagram", experiment.pair_diagram)
+    capture("pair_image_table", experiment.pair_image_table)
+    capture("train", experiment.train)
+    config = TrainConfig(epochs=1, patience=5, seed=2)
+    split = experiment.run_link_prediction(small_graph(), k=2, metric=metric, config=config).split
+    held_out = split.val_pos + split.test_pos
+    assert sorted(graphs) == ["pair_diagram", "pair_image_table", "train"]
+    for g in (g for seen in graphs.values() for g in seen):
+        assert not any(g.has_edge(u, v) for u, v in held_out)
+
+
+def test_warns_when_every_fitted_diagram_is_empty(caplog):
+    g = small_graph()
+    config = TrainConfig(epochs=1, patience=5, seed=0)
+    with caplog.at_level("WARNING", logger="homolink.experiment"):
+        experiment.run_link_prediction(g, k=1, metric="hop", config=config)
+    assert "every training-positive diagram is empty at k=1, metric=hop" in caplog.text
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="homolink.experiment"):
+        experiment.run_link_prediction(g, k=1, metric="ricci", config=config)
+    assert not caplog.records

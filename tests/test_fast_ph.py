@@ -1,21 +1,18 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homolink import fast_ph
 from homolink.diagrams import ESSENTIAL_0
-from homolink.fast_ph import (
-    bench_compare,
-    fast_extended_diagram,
-    loop_pairings,
-    union_find_pass,
-)
+from homolink.fast_ph import bench_compare, fast_extended_diagram, union_find_pass
 from homolink.filtration import build_filtration
 from homolink.graphs import Graph
 from homolink.reduction import diagram_via_reduction
-from oracles import random_graph, scipy_components
+from oracles import check_spanning_forest, random_graph, scipy_components
 
 
 def test_descending_pass_edge_classification(two_loop_graph, two_loop_filter):
@@ -76,9 +73,24 @@ def test_disconnected_graph_components():
     assert d.as_multiset() == diagram_via_reduction(ford, keep_zero=True).as_multiset()
 
 
+class _CheckedForest(fast_ph._LoopForest):
+    """Loop forest that checks its parent pointers after every edge swap."""
+
+    def swap(self, old_edge, new_edge, attach_at):
+        super().swap(old_edge, new_edge, attach_at)
+        check_spanning_forest(self.parent, self.pedge)
+
+
+def loop_pairings(ford):
+    """Loop pairings of the descending pass, with the forest checked after every swap."""
+    _, e_pos, e_neg, _ = union_find_pass(ford, "descending")
+    with mock.patch.object(fast_ph, "_LoopForest", _CheckedForest):
+        return fast_ph._pair_loops(ford, e_pos, e_neg)
+
+
 def test_loop_pairings_report_the_emitted_loop(two_loop_graph, two_loop_filter):
     ford = build_filtration(two_loop_graph, two_loop_filter)
-    out = loop_pairings(ford, check_invariants=True)
+    out = loop_pairings(ford)
     assert [(e, paired) for e, paired, _ in out] == [
         ((1, 2), (2, 3)),
         ((0, 2), (1, 3)),
@@ -97,7 +109,7 @@ def test_loop_values_span_the_loop(seed):
     g = random_graph(rng, 12, 0.45)
     f = rng.integers(0, 6, size=12).astype(float)
     ford = build_filtration(g, f)
-    for e, paired, loop in loop_pairings(ford, check_invariants=True):
+    for e, paired, loop in loop_pairings(ford):
         values = [ford.f_asc[le] for le in loop]
         assert ford.f_asc[paired] == max(values)
         assert ford.f_desc[e] == min(ford.f_desc[le] for le in loop)
@@ -172,6 +184,39 @@ def test_diagram_invariant_under_node_relabelling(case, perm_seed):
         a = fast_extended_diagram(build_filtration(g, f), keep_zero=keep)
         b = fast_extended_diagram(build_filtration(relabelled, f_new), keep_zero=keep)
         assert a.as_multiset() == b.as_multiset()
+
+
+@settings(deadline=None, max_examples=100)
+@given(graphs_with_ties)
+def test_fast_equals_reduction_on_tie_heavy_filters(case):
+    g, f = case
+    ford = build_filtration(g, f)
+    for keep in (False, True):
+        fast = fast_extended_diagram(ford, keep_zero=keep)
+        assert fast.as_multiset() == diagram_via_reduction(ford, keep_zero=keep).as_multiset()
+
+
+@settings(deadline=None, max_examples=100)
+@given(graphs_with_ties, graphs_with_ties)
+def test_diagram_of_disjoint_union_is_sum_of_parts(first, second):
+    (g1, f1), (g2, f2) = first, second
+    shifted = [(u + g1.n, v + g1.n) for u, v in g2.edges]
+    union = Graph(g1.n + g2.n, g1.edges + shifted)
+    f = np.concatenate([f1, f2])
+    for diagram in (fast_extended_diagram, diagram_via_reduction):
+        for keep in (False, True):
+            parts = [diagram(build_filtration(g, fg), keep_zero=keep) for g, fg in (first, second)]
+            whole = diagram(build_filtration(union, f), keep_zero=keep)
+            assert whole.as_multiset() == parts[0].as_multiset() + parts[1].as_multiset()
+
+
+@settings(deadline=None, max_examples=150)
+@given(graphs_with_ties)
+def test_loop_count_is_cycle_rank(case):
+    g, f = case
+    d = fast_extended_diagram(build_filtration(g, f), keep_zero=True)
+    components, _ = scipy_components(g)
+    assert len(d.in_dimension(1)) == g.num_edges - g.n + components
 
 
 def test_bench_compare_consistency(two_loop_graph, two_loop_filter):

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from homolink import model
 from homolink.graphs import Graph, pair_count, pair_rows, sbm_generate
 from homolink.model import (
     TrainConfig,
+    _decode_pairs,
+    _decoder_input,
     _gcn_intermediates,
     _loss_and_grads,
     adam_step,
-    decode,
-    gcn_forward,
     init_model,
     loss_and_gradients,
     make_split,
@@ -24,6 +24,19 @@ from oracles import dense_loss_and_grads, gcn_dense_oracle, pairwise_auc, random
 
 def small_state(d_in, image_dim, seed=0):
     return init_model(d_in, image_dim, hidden=7, embed=4, mlp_hidden=5, seed=seed)
+
+
+def gcn_forward(g, X, state):
+    """Node embeddings through the training code's GCN forward pass."""
+    S = normalized_adjacency(g)
+    return _gcn_intermediates(S, S @ X, state.params)[-1]
+
+
+def decode(h_u, h_v, pi, state):
+    """Edge probability of one pair through the training code's decoder."""
+    pairs = np.array([[0], [1]])
+    F = _decoder_input(pairs, np.atleast_2d(pi), len(h_u))
+    return float(_decode_pairs(np.vstack([h_u, h_v]), pairs, F, state.params)[0][0])
 
 
 def test_gcn_edgeless_graph_is_nodewise():
@@ -259,6 +272,19 @@ def test_make_split_deterministic_and_disjoint():
         assert not g.has_edge(*e)
 
 
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 20), split_seed=st.integers(0, 2**16))
+def test_make_split_partitions_edges_and_samples_distinct_non_edges(seed, n, split_seed):
+    g = random_graph(np.random.default_rng(seed), n, 0.45)
+    assume(20 <= g.num_edges <= n * (n - 1) // 4)
+    split = make_split(g, seed=split_seed)
+    positives = split.train_pos + split.val_pos + split.test_pos
+    assert sorted(positives) == sorted(g.edges)
+    negatives = split.val_neg + split.test_neg
+    assert len(set(negatives)) == len(negatives) == len(split.val_pos) + len(split.test_pos)
+    assert all(u < v and not g.has_edge(u, v) for u, v in negatives)
+
+
 def test_make_split_needs_enough_edges():
     g = Graph(10, [(0, i) for i in range(1, 10)])
     with pytest.raises(ValueError):
@@ -320,8 +346,6 @@ def test_train_separable_features_reach_perfect_auc():
     config = TrainConfig(epochs=200, lr=0.01, patience=200, seed=6, hidden=16, embed=8, mlp_hidden=16, image_dim=3)
     result = train(train_graph, X, split, zero_table(train_graph, 3), config)
     # train-set AUC at the selected state: positives vs cross-community non-edges
-    from homolink.model import gcn_forward, decode
-
     H = gcn_forward(train_graph, X, result.state)
     negs = [(u, 15 + v) for u in range(5) for v in range(5) if not g.has_edge(u, 15 + v)]
     scores = [decode(H[u], H[v], np.zeros(3), result.state) for u, v in split.train_pos + negs]

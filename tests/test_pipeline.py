@@ -38,13 +38,21 @@ def test_pair_feature_matches_reduction_oracle():
         assert np.array_equal(persistence_image(diagram, SPEC), persistence_image(oracle, SPEC))
 
 
-def test_pair_feature_symmetric_in_targets():
-    g = sbm_generate(50, 5, 0.35, 0.05, 0, seed=21)
-    u, v = g.edges[0]
-    a, _ = pair_diagram(g, u, v, 1)
-    b, _ = pair_diagram(g, v, u, 1)
-    assert a.as_multiset() == b.as_multiset()
-    assert np.array_equal(persistence_image(a, SPEC), persistence_image(b, SPEC))
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 9),
+    p=st.floats(0.2, 0.9),
+    k=st.integers(1, 3),
+    metric=st.sampled_from(["hop", "ricci"]),
+)
+def test_pair_feature_symmetric_in_targets(seed, n, p, k, metric):
+    g = shuffled_graph(np.random.default_rng(seed), n, p, weighted=True)
+    for u, v in itertools.combinations(range(n), 2):
+        a, _ = pair_diagram(g, u, v, k, metric)
+        b, _ = pair_diagram(g, v, u, k, metric)
+        assert a.as_multiset() == b.as_multiset()
+        assert np.array_equal(persistence_image(a, SPEC), persistence_image(b, SPEC))
 
 
 def test_pair_feature_rejects_unknown_metric():

@@ -12,13 +12,12 @@ from homolink import ricci
 from homolink.graphs import Graph
 from homolink.ricci import (
     DiscreteMeasure,
-    lazy_walk_measure,
     ollivier_ricci,
     ricci_edge_weights,
     wasserstein1,
     weights_from_curvature,
 )
-from oracles import random_graph, transport_min_cost
+from oracles import lazy_walk_measure, random_graph, transport_min_cost
 
 
 def measure(mass):
@@ -197,7 +196,7 @@ def test_tree_curvature_closed_form(g):
     """
     kappa = ollivier_ricci(g, alpha=0.5)
     for x, y in g.edges:
-        want = 1.0 / g.degree(x) + 1.0 / g.degree(y) - 1.0
+        want = 1.0 / len(g.neighbors(x)) + 1.0 / len(g.neighbors(y)) - 1.0
         assert kappa[(x, y)] == pytest.approx(want, abs=1e-12)
 
 
@@ -225,6 +224,24 @@ def test_batched_curvature_matches_per_edge_transport(g, alpha, chunk):
         nu = lazy_walk_measure(g, y, alpha)
         cost = {(s, t): D[s, t] for s in mu.support for t in nu.support}
         assert kappa[(x, y)] == pytest.approx(1.0 - wasserstein1(mu, nu, cost), abs=1e-12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(small_graphs())
+def test_curvature_linear_in_idleness_above_max_degree_threshold(g):
+    """kappa_alpha / (1 - alpha) is constant for alpha in [1/(max(d_x, d_y) + 1), 1).
+
+    Bourne et al. (2018) prove kappa linear in alpha there and on
+    [0, 1/(lcm(d_x, d_y) + 1)], with kappa_1 = 0; between the two thresholds
+    it need not be.
+    """
+    degree = [len(g.neighbors(x)) for x in range(g.n)]
+    alphas = sorted({1.0 / (d + 1) for d in degree if d} | {0.7, 0.95})
+    kappas = {alpha: ollivier_ricci(g, alpha) for alpha in alphas}
+    for x, y in g.edges:
+        threshold = 1.0 / (max(degree[x], degree[y]) + 1)
+        ratios = [kappas[a][(x, y)] / (1.0 - a) for a in alphas if a >= threshold]
+        assert max(ratios) - min(ratios) <= 1e-9
 
 
 @settings(deadline=None, max_examples=60)
