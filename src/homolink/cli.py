@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 
 import numpy as np
 
 from . import io
-from .experiment import run_link_prediction
+from .experiment import DEFAULT_METRIC, DEFAULT_RICCI_ALPHA, run_link_prediction
 from .fast_ph import bench_compare, fast_extended_diagram
-from .filtration import build_filtration, distance_sum_filter
 from .graphs import enclosing_subgraph, sbm_generate
 from .images import ImageSpec, persistence_image, spec_for_diagrams
 from .model import TrainConfig
-from .pipeline import apply_ricci_weights, pair_diagram
+from .pipeline import METRICS, metric_graph, pair_diagram, subgraph_filtration
 from .reduction import diagram_via_reduction
 from .ricci import ollivier_ricci
 
@@ -55,18 +55,10 @@ def cmd_sbm(args) -> int:
     return 0
 
 
-def _subgraph_filtration(g, args):
-    metric = args.metric
-    if metric == "ricci":
-        g = apply_ricci_weights(g, args.alpha)
-    sub = enclosing_subgraph(g, args.u, args.v, args.k, drop_target_edge=not args.keep_target_edge)
-    f = distance_sum_filter(sub, use_weights=(metric == "ricci"))
-    return build_filtration(sub.graph, f)
-
-
 def cmd_diagram(args) -> int:
-    g = _load_graph(args)
-    ford = _subgraph_filtration(g, args)
+    g = metric_graph(_load_graph(args), args.metric, args.alpha)
+    sub = enclosing_subgraph(g, args.u, args.v, args.k, drop_target_edge=not args.keep_target_edge)
+    ford = subgraph_filtration(sub, args.metric)
     out = _ensure_out(args.out)
     diagrams = {}
     if args.algo in ("fast", "both"):
@@ -90,10 +82,9 @@ def cmd_diagram(args) -> int:
 
 
 def cmd_image(args) -> int:
-    g = _load_graph(args)
-    metric_graph = apply_ricci_weights(g, args.alpha) if args.metric == "ricci" else g
+    g = metric_graph(_load_graph(args), args.metric, args.alpha)
     diagram, _size = pair_diagram(
-        metric_graph, args.u, args.v, args.k, args.metric,
+        g, args.u, args.v, args.k, args.metric,
         drop_target_edge=not args.keep_target_edge,
     )
     if args.bounds is not None:
@@ -201,7 +192,7 @@ def _add_pair_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--u", type=int, required=True, help="first target node")
     p.add_argument("--v", type=int, required=True, help="second target node")
     p.add_argument("--k", type=int, default=1, help="hop radius of the enclosing subgraph")
-    p.add_argument("--metric", choices=("hop", "ricci"), default="hop")
+    p.add_argument("--metric", choices=METRICS, default="hop")
     p.add_argument("--alpha", type=float, default=0.5, help="Ricci idleness parameter")
     p.add_argument(
         "--keep-target-edge", action="store_true",
@@ -268,10 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="end-to-end link-prediction experiment")
     _add_graph_args(p)
     p.add_argument("--k", type=int, default=1)
-    # hop at k=1 gives every pair an empty diagram (the filter is constant
-    # once the target edge is dropped), so its topology run is the ablated one
-    p.add_argument("--metric", choices=("hop", "ricci"), default="ricci")
-    p.add_argument("--alpha", type=float, default=0.5)
+    p.add_argument("--metric", choices=METRICS, default=DEFAULT_METRIC)
+    p.add_argument("--alpha", type=float, default=DEFAULT_RICCI_ALPHA)
     p.add_argument("--epochs", type=int, default=2000)
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--weight-decay", type=float, default=0.0)
@@ -290,6 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -19,11 +19,14 @@ import numpy as np
 from .graphs import Graph, pair_count
 from .images import ImageSpec, spec_for_diagrams
 from .model import DataSplit, TrainConfig, TrainResult, make_split, train
-from .pipeline import METRICS, apply_ricci_weights, pair_diagram, pair_image_table
+from .pipeline import METRICS, metric_graph, pair_diagram, pair_image_table
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_RICCI_ALPHA = 0.5
+# hop at k=1 gives every pair an empty diagram (the filter is constant once
+# the target edge is dropped), so its topology run is the ablated one
+DEFAULT_METRIC = "ricci"
 
 
 @dataclass
@@ -52,7 +55,7 @@ class ExperimentResult:
 def run_link_prediction(
     g: Graph,
     k: int = 1,
-    metric: str = "hop",
+    metric: str = DEFAULT_METRIC,
     config: TrainConfig | None = None,
     resolution: tuple[int, int] = (5, 5),
     ablate_topology: bool = False,
@@ -77,9 +80,7 @@ def run_link_prediction(
         image_spec = ImageSpec(resolution=resolution)
         images = np.zeros((pair_count(g.n), image_spec.dim))
     else:
-        feature_graph = (
-            apply_ricci_weights(train_graph, ricci_alpha) if metric == "ricci" else train_graph
-        )
+        feature_graph = metric_graph(train_graph, metric, ricci_alpha)
         train_diagrams = [
             pair_diagram(feature_graph, u, v, k, metric)[0] for u, v in split.train_pos
         ]

@@ -9,7 +9,8 @@ positive descending edge closes a unique loop against the forest, is paired
 with the loop edge that enters the ascending order last, and then replaces
 that edge in the forest. Runtime is O(|V| * |E|), against the cubic cost of
 the matrix reduction, and the output is identical (which the test suite
-checks against the reduction oracle).
+checks against the reduction oracle). Both work on edge ids, ``s - n`` for
+simplex id ``s``, over lists taken once from the filtration's arrays.
 """
 
 from __future__ import annotations
@@ -36,26 +37,23 @@ def union_find_pass(ford: FiltrationOrder, direction: str):
 
     An edge joining two components is negative and kills the younger one:
     the component whose first node entered this direction's order later.
-    Edges within one component are positive and are returned in filtration
-    order. Pairs are (f of the dying component's first node, edge value),
-    including zero-persistence pairs; callers filter. ``roots[x]`` is the
-    first node, in this direction's order, of x's final component.
+    Edges within one component are positive; edges come back as edge ids in
+    filtration order. Pairs are (f of the dying component's first node, edge
+    value), including zero-persistence pairs; callers filter. ``roots[x]`` is
+    the first node, in this direction's order, of x's final component.
     """
     if direction == "ascending":
-        seq = ford.ascending
-        edge_value = ford.f_asc
+        seq, rank, edge_value = ford.ascending, ford.asc_index, ford.f_asc
     elif direction == "descending":
-        seq = ford.descending
-        edge_value = ford.f_desc
+        seq, rank, edge_value = ford.descending, ford.desc_index, ford.f_desc
     else:
         raise ValueError(f"direction must be ascending or descending, got {direction!r}")
 
-    f = ford.f_node
     n = ford.n
-    pos = [0] * n
-    for i, s in enumerate(seq):
-        if isinstance(s, int):
-            pos[s] = i
+    f = ford.f_node.tolist()
+    value = edge_value.tolist()
+    ends = ford.edges.tolist()
+    pos = rank[:n].tolist()
     # every root is the first node of its set, since the elder root stays root
     parent = list(range(n))
 
@@ -66,22 +64,20 @@ def union_find_pass(ford: FiltrationOrder, direction: str):
         return x
 
     pairs: list[tuple[float, float]] = []
-    e_pos: list[tuple[int, int]] = []
-    e_neg: list[tuple[int, int]] = []
-    for s in seq:
-        if isinstance(s, int):
-            continue
-        u, v = s
+    e_pos: list[int] = []
+    e_neg: list[int] = []
+    for e in [s - n for s in seq.tolist() if s >= n]:
+        u, v = ends[e]
         ru, rv = find(u), find(v)
         if ru == rv:
-            e_pos.append(s)
+            e_pos.append(e)
             continue
-        e_neg.append(s)
+        e_neg.append(e)
         if pos[ru] <= pos[rv]:
             elder, younger = ru, rv
         else:
             elder, younger = rv, ru
-        pairs.append((float(f[younger]), edge_value[s]))
+        pairs.append((f[younger], value[e]))
         parent[younger] = elder
     return pairs, e_pos, e_neg, [find(x) for x in range(n)]
 
@@ -89,18 +85,20 @@ def union_find_pass(ford: FiltrationOrder, direction: str):
 class _LoopForest:
     """Rooted spanning forest with parent pointers and edge swaps.
 
-    Finding the loop closed by a positive edge walks both ancestor chains to
-    their meeting point. Swapping an edge out detaches one side of the loop
-    and re-roots it at the new edge's endpoint, so parent pointers stay valid
+    ``pedge[x]`` is the id of x's edge to its parent, -1 at a root. Finding
+    the loop closed by a positive edge walks both ancestor chains to their
+    meeting point. Swapping an edge out detaches one side of the loop and
+    re-roots it at the new edge's endpoint, so parent pointers stay valid
     without any global rebuild. Both operations are O(path length).
     """
 
-    def __init__(self, n: int, tree_edges):
+    def __init__(self, n: int, edges: list[list[int]], tree_edges: list[int]):
+        self.edges = edges
         self.parent: list[int] = [-1] * n
-        self.pedge: list = [None] * n
-        adj: list[list] = [[] for _ in range(n)]
+        self.pedge: list[int] = [-1] * n
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for e in tree_edges:
-            u, v = e
+            u, v = edges[e]
             adj[u].append((v, e))
             adj[v].append((u, e))
         seen = [False] * n
@@ -119,7 +117,7 @@ class _LoopForest:
                         queue.append(y)
 
     def path_sides(self, u: int, v: int):
-        """Tree-path edges between u and v, split into the u side and the v side."""
+        """Tree-path edge ids between u and v, split into the u side and the v side."""
         mark = set()
         x = u
         while True:
@@ -154,40 +152,41 @@ class _LoopForest:
             self.parent[par] = child
             self.pedge[par] = e
         self.parent[x] = -1
-        self.pedge[x] = None
+        self.pedge[x] = -1
 
-    def swap(self, old_edge, new_edge, attach_at: int) -> None:
+    def swap(self, old_edge: int, new_edge: int, attach_at: int) -> None:
         """Remove ``old_edge``, re-root its detached side at ``attach_at``, add ``new_edge``.
 
         ``attach_at`` must be the endpoint of ``new_edge`` that lies below the
         removed edge.
         """
-        a, b = old_edge
+        a, b = self.edges[old_edge]
         child = a if self.pedge[a] == old_edge else b
         if self.pedge[child] != old_edge:
             raise RuntimeError("edge to remove is not in the forest")
         self.parent[child] = -1
-        self.pedge[child] = None
+        self.pedge[child] = -1
         self._reroot(attach_at)
-        u, v = new_edge
+        u, v = self.edges[new_edge]
         other = v if u == attach_at else u
         self.parent[attach_at] = other
         self.pedge[attach_at] = new_edge
 
 
-def _pair_loops(ford: FiltrationOrder, e_pos, e_neg):
+def _pair_loops(ford: FiltrationOrder, e_pos: list[int], e_neg: list[int]):
     """Pair every positive descending edge with the ascending-latest edge of its loop.
 
-    ``e_pos`` and ``e_neg`` are the positive and negative edges of the
+    ``e_pos`` and ``e_neg`` are the positive and negative edge ids of the
     descending pass. Returns (positive edge, paired edge, loop edge list)
-    triples in the order the positive edges appear in the descending
-    filtration. The loop includes the positive edge itself.
+    triples of edge ids, in the order the positive edges appear in the
+    descending filtration. The loop includes the positive edge itself.
     """
-    asc = ford.asc_index
-    forest = _LoopForest(ford.n, e_neg)
+    asc = ford.asc_index[ford.n:].tolist()
+    edges = ford.edges.tolist()
+    forest = _LoopForest(ford.n, edges, e_neg)
     out = []
     for e in e_pos:
-        u, v = e
+        u, v = edges[e]
         u_side, v_side = forest.path_sides(u, v)
         loop = u_side + v_side + [e]
         paired = max(loop, key=asc.__getitem__)
@@ -204,18 +203,21 @@ def fast_extended_diagram(ford: FiltrationOrder, keep_zero: bool = False) -> Per
     Output equals ``diagram_via_reduction`` on the same filtration order,
     point for point. Zero-persistence points are dropped unless ``keep_zero``.
     """
-    f = ford.f_node
     asc_pairs, _, _, lowest = union_find_pass(ford, "ascending")
     desc_pairs, e_pos, e_neg, highest = union_find_pass(ford, "descending")
+    f = ford.f_node.tolist()
     points = [DiagramPoint(0, b, d, ORDINARY_ASCENDING) for b, d in asc_pairs]
     points += [DiagramPoint(0, b, d, RELATIVE_DESCENDING) for b, d in desc_pairs]
     points += [
-        DiagramPoint(0, float(f[x]), float(f[highest[x]]), ESSENTIAL_0)
+        DiagramPoint(0, f[x], f[highest[x]], ESSENTIAL_0)
         for x in range(ford.n)
         if lowest[x] == x
     ]
-    for e, paired, _loop in _pair_loops(ford, e_pos, e_neg):
-        points.append(DiagramPoint(1, ford.f_asc[paired], ford.f_desc[e], EXTENDED_1))
+    f_asc, f_desc = ford.f_asc.tolist(), ford.f_desc.tolist()
+    points += [
+        DiagramPoint(1, f_asc[paired], f_desc[e], EXTENDED_1)
+        for e, paired, _loop in _pair_loops(ford, e_pos, e_neg)
+    ]
     if not keep_zero:
         points = drop_zero_persistence(points)
     return PersistenceDiagram(points)

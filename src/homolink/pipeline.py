@@ -1,10 +1,11 @@
 """Per-pair topological features: subgraph -> filter -> filtration -> diagram -> image.
 
 The vicinity is always the hop-based k-hop intersection; the metric choice
-only affects the distance-sum filter. With ``metric="ricci"`` the filter uses
-the graph's edge weights for shortest paths, so callers install curvature
-weights once on the full training graph (``apply_ricci_weights``) and every
-subgraph inherits them. With ``metric="hop"`` distances count hops.
+only affects the distance-sum filter, and this module alone decides how.
+With ``metric="ricci"`` the filter uses the graph's edge weights for shortest
+paths, so callers install curvature weights once on the full training graph
+(``metric_graph``) and every subgraph inherits them. With ``metric="hop"``
+distances count hops.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 
 from .diagrams import PersistenceDiagram
 from .fast_ph import fast_extended_diagram
-from .filtration import build_filtration, distance_sum_filter
-from .graphs import Graph, enclosing_subgraph, pair_count, pair_rows
+from .filtration import FiltrationOrder, build_filtration, distance_sum_filter
+from .graphs import EnclosingSubgraph, Graph, enclosing_subgraph, pair_count, pair_rows
 from .images import ImageSpec, persistence_image
 from .ricci import ricci_edge_weights
 
@@ -31,6 +32,17 @@ def apply_ricci_weights(g: Graph, alpha: float = 0.5) -> Graph:
     if g.edge_weights:
         logger.warning("replacing %d input edge weights with Ricci weights", len(g.edge_weights))
     return g.with_weights(ricci_edge_weights(g, alpha))
+
+
+def metric_graph(g: Graph, metric: str, alpha: float = 0.5) -> Graph:
+    """The graph whose subgraphs the metric's filter reads: Ricci-weighted under ``ricci``."""
+    return apply_ricci_weights(g, alpha) if metric == "ricci" else g
+
+
+def subgraph_filtration(sub: EnclosingSubgraph, metric: str) -> FiltrationOrder:
+    """Distance-sum filtration: weighted distances under ``ricci``, hops under ``hop``."""
+    f = distance_sum_filter(sub, use_weights=(metric == "ricci"))
+    return build_filtration(sub.graph, f)
 
 
 def pair_diagram(
@@ -51,9 +63,7 @@ def pair_diagram(
     sub = enclosing_subgraph(g, u, v, k, drop_target_edge=drop_target_edge)
     if sub.graph.n <= 2 and sub.graph.num_edges == 0:
         return PersistenceDiagram([]), sub.graph.n
-    f = distance_sum_filter(sub, use_weights=(metric == "ricci"))
-    ford = build_filtration(sub.graph, f)
-    return fast_extended_diagram(ford), sub.graph.n
+    return fast_extended_diagram(subgraph_filtration(sub, metric)), sub.graph.n
 
 
 def pair_image_table(

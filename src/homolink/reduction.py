@@ -11,11 +11,11 @@ where rows/columns 0..m-1 are the simplices in ascending order and m..2m-1
 the simplices in descending order. A and D hold the node-edge incidences of
 the two passes, and P is the permutation matching each simplex's ascending
 copy to its descending copy. Columns are stored sparsely as sorted lists of
-row indices; column addition is symmetric difference.
+row indices read off the rank arrays; column addition is symmetric difference.
 
 After left-to-right reduction, each nonzero column j pairs with its lowest
 row index low(j). The block the pair lands in determines the kind of the
-diagram point:
+diagram point, and simplex id ``s < n`` marks a node row or column:
 
   * ascending edge column, ascending node row  -> ordinary 0-dim pair
   * descending edge column, descending node row -> relative 0-dim pair
@@ -64,7 +64,7 @@ class ReductionResult:
 class ReductionPairs:
     """Simplex-level pairs grouped by the block their lowest entry fell in."""
 
-    ascending: list  # (node, ascending edge)
+    ascending: list  # (node, ascending edge), as simplex ids
     descending: list  # (node, descending edge)
     extended: list  # (ascending edge, descending edge)
     essential: list  # (min node, max node) per component
@@ -77,21 +77,22 @@ def build_reduction_matrix(ford: FiltrationOrder) -> ReductionMatrix:
     rows. Every descending column additionally carries the P entry pointing
     at the same simplex's position in the ascending order.
     """
-    m = ford.num_simplices
-    asc = ford.asc_index
-    desc = ford.desc_index
+    n, m = ford.n, ford.num_simplices
+    asc = ford.asc_index.tolist()
+    desc = ford.desc_index.tolist()
+    edges = ford.edges.tolist()
     columns: list[list[int]] = []
-    for s in ford.ascending:
-        if isinstance(s, int):
+    for s in ford.ascending.tolist():
+        if s < n:
             columns.append([])
         else:
-            u, v = s
+            u, v = edges[s - n]
             columns.append(sorted((asc[u], asc[v])))
-    for s in ford.descending:
-        if isinstance(s, int):
+    for s in ford.descending.tolist():
+        if s < n:
             columns.append([asc[s]])
         else:
-            u, v = s
+            u, v = edges[s - n]
             columns.append(sorted((asc[s], m + desc[u], m + desc[v])))
     return ReductionMatrix(m, columns)
 
@@ -141,33 +142,32 @@ def reduction_pairs(ford: FiltrationOrder) -> ReductionPairs:
     """Run the reduction and classify every pair by its block."""
     matrix = build_reduction_matrix(ford)
     result = reduce_matrix(matrix)
-    m = matrix.num_simplices
-    asc = ford.ascending
-    desc = ford.descending
+    n, m = ford.n, matrix.num_simplices
+    asc = ford.ascending.tolist()
+    desc = ford.descending.tolist()
     pairs = ReductionPairs([], [], [], [])
     for j in sorted(result.lows):
         low = result.lows[j]
         if j < m:
             col_s = asc[j]
             row_s = asc[low]
-            if isinstance(col_s, int) or not isinstance(row_s, int):
+            if col_s < n or row_s >= n:
                 raise RuntimeError("ascending pair must be (node row, edge column)")
             pairs.ascending.append((row_s, col_s))
         else:
             col_s = desc[j - m]
-            if isinstance(col_s, int):
-                row_s = asc[low]
-                if low >= m or not isinstance(row_s, int):
+            if col_s < n:
+                if low >= m or asc[low] >= n:
                     raise RuntimeError("node column must pair with an ascending node row")
-                pairs.essential.append((row_s, col_s))
+                pairs.essential.append((asc[low], col_s))
             elif low >= m:
                 row_s = desc[low - m]
-                if not isinstance(row_s, int):
+                if row_s >= n:
                     raise RuntimeError("descending block pair must have a node row")
                 pairs.descending.append((row_s, col_s))
             else:
                 row_s = asc[low]
-                if isinstance(row_s, int):
+                if row_s < n:
                     raise RuntimeError("extended pair must have an edge row")
                 pairs.extended.append((row_s, col_s))
     return pairs
@@ -179,21 +179,24 @@ def diagram_via_reduction(ford: FiltrationOrder, keep_zero: bool = False) -> Per
     Zero-persistence points are dropped unless ``keep_zero`` is set.
     """
     pairs = reduction_pairs(ford)
-    f = ford.f_node
+    f = ford.f_node.tolist()
+    # filter value of every simplex id, in each direction
+    asc_value = f + ford.f_asc.tolist()
+    desc_value = f + ford.f_desc.tolist()
     points = [
-        DiagramPoint(0, float(f[node]), ford.f_asc[edge], ORDINARY_ASCENDING)
+        DiagramPoint(0, f[node], asc_value[edge], ORDINARY_ASCENDING)
         for node, edge in pairs.ascending
     ]
     points += [
-        DiagramPoint(0, float(f[node]), ford.f_desc[edge], RELATIVE_DESCENDING)
+        DiagramPoint(0, f[node], desc_value[edge], RELATIVE_DESCENDING)
         for node, edge in pairs.descending
     ]
     points += [
-        DiagramPoint(0, float(f[nmin]), float(f[nmax]), ESSENTIAL_0)
+        DiagramPoint(0, f[nmin], f[nmax], ESSENTIAL_0)
         for nmin, nmax in pairs.essential
     ]
     points += [
-        DiagramPoint(1, ford.f_asc[ae], ford.f_desc[de], EXTENDED_1)
+        DiagramPoint(1, asc_value[ae], desc_value[de], EXTENDED_1)
         for ae, de in pairs.extended
     ]
     if not keep_zero:

@@ -72,15 +72,57 @@ def lazy_walk_measure(g, z, alpha=0.5):
     return DiscreteMeasure({z: alpha, **{y: share for y in g.neighbors(z)}})
 
 
-def check_spanning_forest(parent, pedge):
+def reference_orders(g, f):
+    """Both filtration orders as nodes (int) and edges ((u, v) tuple), by tuple-key sorts.
+
+    Ascending keys are (f, 0, id) for a node and (max, 1, min, u, v) for an
+    edge; descending keys are their negations.
+    """
+    f = np.asarray(f, dtype=float)
+
+    def asc_key(s):
+        if isinstance(s, int):
+            return (f[s], 0, s)
+        u, v = s
+        return (max(f[u], f[v]), 1, min(f[u], f[v]), u, v)
+
+    def desc_key(s):
+        if isinstance(s, int):
+            return (-f[s], 0, -s)
+        u, v = s
+        return (-min(f[u], f[v]), 1, -max(f[u], f[v]), -u, -v)
+
+    simplices = list(range(g.n)) + list(g.edges)
+    return sorted(simplices, key=asc_key), sorted(simplices, key=desc_key)
+
+
+def old_form(ford, ids, edge_ids=False):
+    """Map simplex ids back to nodes (int) and edges ((u, v) tuple).
+
+    ``ids`` is one id, or a list, tuple, range or array of them, nested to
+    any depth; lists and arrays map to lists and tuples to tuples. With
+    ``edge_ids`` every id is an edge id, i.e. a simplex id minus ``ford.n``.
+    """
+    if isinstance(ids, tuple):
+        return tuple(old_form(ford, x, edge_ids) for x in ids)
+    if isinstance(ids, (list, range, np.ndarray)):
+        return [old_form(ford, x, edge_ids) for x in ids]
+    s = int(ids) + (ford.n if edge_ids else 0)
+    if s < ford.n:
+        return s
+    u, v = ford.edges[s - ford.n]
+    return (int(u), int(v))
+
+
+def check_spanning_forest(parent, pedge, edges):
     """Check that parent pointers encode a forest: no cycles, and each
-    node's parent edge joins it to its parent."""
+    node's parent edge (an index into ``edges``) joins it to its parent."""
     for x in range(len(parent)):
         seen = {x}
         y = x
         while parent[y] != -1:
             e = pedge[y]
-            if e is None or set(e) != {y, parent[y]}:
+            if e == -1 or set(edges[e]) != {y, parent[y]}:
                 raise AssertionError(f"inconsistent parent edge at node {y}")
             y = parent[y]
             if y in seen:

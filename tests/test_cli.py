@@ -252,3 +252,18 @@ def test_manifest_written_for_every_command(tmp_path):
     assert manifest["command"] == "sbm"
     assert manifest["seed"] == 1
     assert manifest["n"] == 10
+
+
+def test_cli_labels_library_warnings(tmp_path):
+    # pytest's own log handlers make basicConfig a no-op here, so run a fresh process
+    data = tmp_path / "data"
+    assert run(["sbm", "--n", 80, "--c", 4, "--p", 0.3, "--q", 0.03, "--d", 4,
+                "--seed", 5, "--out", data]) == 0
+    src = str(Path(homolink.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "homolink.cli", "train", "--graph", str(data / "edges.txt"),
+           "--features", str(data / "features.csv"), "--k", "1", "--metric", "hop",
+           "--epochs", "2", "--out", str(tmp_path / "train")]
+    proc = subprocess.run(cmd, env=env, check=True, capture_output=True, text=True, timeout=300)
+    lines = proc.stderr.splitlines()
+    assert any(line.startswith("WARNING homolink.experiment:") for line in lines), proc.stderr

@@ -90,3 +90,10 @@ def test_warns_when_every_fitted_diagram_is_empty(caplog):
     with caplog.at_level("WARNING", logger="homolink.experiment"):
         experiment.run_link_prediction(g, k=1, metric="ricci", config=config)
     assert not caplog.records
+
+
+def test_default_metric_fits_the_grid_to_nonempty_diagrams(caplog):
+    config = TrainConfig(epochs=1, patience=5, seed=0)
+    with caplog.at_level("WARNING", logger="homolink.experiment"):
+        experiment.run_link_prediction(small_graph(), config=config)
+    assert not caplog.records

@@ -12,14 +12,14 @@ from homolink.fast_ph import bench_compare, fast_extended_diagram, union_find_pa
 from homolink.filtration import build_filtration
 from homolink.graphs import Graph
 from homolink.reduction import diagram_via_reduction
-from oracles import check_spanning_forest, random_graph, scipy_components
+from oracles import check_spanning_forest, old_form, random_graph, scipy_components
 
 
 def test_descending_pass_edge_classification(two_loop_graph, two_loop_filter):
     ford = build_filtration(two_loop_graph, two_loop_filter)
     _, e_pos, e_neg, roots = union_find_pass(ford, "descending")
-    assert e_pos == [(1, 2), (0, 2)]
-    assert e_neg == [(2, 3), (1, 3), (0, 3)]
+    assert old_form(ford, e_pos, edge_ids=True) == [(1, 2), (0, 2)]
+    assert old_form(ford, e_neg, edge_ids=True) == [(2, 3), (1, 3), (0, 3)]
     assert roots == [3, 3, 3, 3]  # the maximum node
 
 
@@ -28,7 +28,7 @@ def test_ascending_pass_pairs(two_loop_graph, two_loop_filter):
     pairs, e_pos, _, roots = union_find_pass(ford, "ascending")
     nonzero = [p for p in pairs if p[0] != p[1]]
     assert nonzero == [(2.0, 3.0)]
-    assert e_pos == [(1, 3), (2, 3)]
+    assert old_form(ford, e_pos, edge_ids=True) == [(1, 3), (2, 3)]
     assert roots == [0, 0, 0, 0]  # the minimum node
 
 
@@ -78,19 +78,27 @@ class _CheckedForest(fast_ph._LoopForest):
 
     def swap(self, old_edge, new_edge, attach_at):
         super().swap(old_edge, new_edge, attach_at)
-        check_spanning_forest(self.parent, self.pedge)
+        check_spanning_forest(self.parent, self.pedge, self.edges)
 
 
 def loop_pairings(ford):
-    """Loop pairings of the descending pass, with the forest checked after every swap."""
+    """Loop pairings of the descending pass as edge tuples, with the forest
+    checked after every swap."""
     _, e_pos, e_neg, _ = union_find_pass(ford, "descending")
     with mock.patch.object(fast_ph, "_LoopForest", _CheckedForest):
-        return fast_ph._pair_loops(ford, e_pos, e_neg)
+        return old_form(ford, fast_ph._pair_loops(ford, e_pos, e_neg), edge_ids=True)
+
+
+def edge_values(ford):
+    """Ascending and descending edge values keyed by edge tuple."""
+    edges = old_form(ford, range(len(ford.edges)), edge_ids=True)
+    return dict(zip(edges, ford.f_asc.tolist())), dict(zip(edges, ford.f_desc.tolist()))
 
 
 def test_loop_pairings_report_the_emitted_loop(two_loop_graph, two_loop_filter):
     ford = build_filtration(two_loop_graph, two_loop_filter)
     out = loop_pairings(ford)
+    f_asc, f_desc = edge_values(ford)
     assert [(e, paired) for e, paired, _ in out] == [
         ((1, 2), (2, 3)),
         ((0, 2), (1, 3)),
@@ -99,8 +107,8 @@ def test_loop_pairings_report_the_emitted_loop(two_loop_graph, two_loop_filter):
         assert e in loop and paired in loop
         # birth is the largest ascending extension over the loop, death the
         # smallest endpoint value of the closing edge
-        assert ford.f_asc[paired] == max(ford.f_asc[le] for le in loop)
-        assert ford.f_desc[e] == min(ford.f_node[e[0]], ford.f_node[e[1]])
+        assert f_asc[paired] == max(f_asc[le] for le in loop)
+        assert f_desc[e] == min(ford.f_node[e[0]], ford.f_node[e[1]])
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -109,10 +117,11 @@ def test_loop_values_span_the_loop(seed):
     g = random_graph(rng, 12, 0.45)
     f = rng.integers(0, 6, size=12).astype(float)
     ford = build_filtration(g, f)
+    f_asc, f_desc = edge_values(ford)
     for e, paired, loop in loop_pairings(ford):
-        values = [ford.f_asc[le] for le in loop]
-        assert ford.f_asc[paired] == max(values)
-        assert ford.f_desc[e] == min(ford.f_desc[le] for le in loop)
+        values = [f_asc[le] for le in loop]
+        assert f_asc[paired] == max(values)
+        assert f_desc[e] == min(f_desc[le] for le in loop)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from homolink.fast_ph import fast_extended_diagram
 from homolink.filtration import build_filtration, distance_sum_filter
 from homolink.graphs import Graph, enclosing_subgraph, shortest_distances
-from oracles import random_graph
+from homolink.reduction import diagram_via_reduction
+from oracles import old_form, random_graph, reference_orders
 
 
-def edge_part(sequence):
-    return [s for s in sequence if not isinstance(s, int)]
+def edge_part(ford, sequence):
+    return [s for s in old_form(ford, sequence) if not isinstance(s, int)]
 
 
 def test_distance_sum_filter_triangle():
@@ -69,15 +73,15 @@ def test_distance_sum_filter_clamps_unreachable():
 
 def test_build_filtration_worked_edge_orders(two_loop_graph, two_loop_filter):
     ford = build_filtration(two_loop_graph, two_loop_filter)
-    assert edge_part(ford.ascending) == [(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
-    assert edge_part(ford.descending) == [(2, 3), (1, 3), (1, 2), (0, 3), (0, 2)]
+    assert edge_part(ford, ford.ascending) == [(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    assert edge_part(ford, ford.descending) == [(2, 3), (1, 3), (1, 2), (0, 3), (0, 2)]
 
 
 def test_build_filtration_single_edge():
     g = Graph(2, [(0, 1)])
     ford = build_filtration(g, np.array([0.0, 1.0]))
-    assert ford.ascending == [0, 1, (0, 1)]
-    assert ford.descending == [1, 0, (0, 1)]
+    assert old_form(ford, ford.ascending) == [0, 1, (0, 1)]
+    assert old_form(ford, ford.descending) == [1, 0, (0, 1)]
 
 
 def test_edge_extensions_are_max_and_min():
@@ -85,9 +89,9 @@ def test_edge_extensions_are_max_and_min():
     g = random_graph(rng, 15, 0.3)
     f = rng.normal(size=15)
     ford = build_filtration(g, f)
-    for u, v in g.edges:
-        assert ford.f_asc[(u, v)] == max(f[u], f[v])
-        assert ford.f_desc[(u, v)] == min(f[u], f[v])
+    for e, (u, v) in enumerate(g.edges):
+        assert ford.f_asc[e] == max(f[u], f[v])
+        assert ford.f_desc[e] == min(f[u], f[v])
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -99,12 +103,12 @@ def test_sequences_are_permutations_with_faces_first(seed):
     simplices = set(range(g.n)) | set(g.edges)
     for seq in (ford.ascending, ford.descending):
         assert len(seq) == ford.num_simplices
-        assert set(seq) == simplices
+        assert set(old_form(ford, seq)) == simplices
     asc_pos = ford.asc_index
     desc_pos = ford.desc_index
-    for u, v in g.edges:
-        assert asc_pos[(u, v)] > max(asc_pos[u], asc_pos[v])
-        assert desc_pos[(u, v)] > max(desc_pos[u], desc_pos[v])
+    for e, (u, v) in enumerate(g.edges):
+        assert asc_pos[g.n + e] > max(asc_pos[u], asc_pos[v])
+        assert desc_pos[g.n + e] > max(desc_pos[u], desc_pos[v])
 
 
 def test_order_monotone_in_filter_value():
@@ -112,13 +116,9 @@ def test_order_monotone_in_filter_value():
     g = random_graph(rng, 14, 0.3)
     f = rng.permutation(14).astype(float)  # all distinct
     ford = build_filtration(g, f)
-    asc_vals = [
-        ford.f_node[s] if isinstance(s, int) else ford.f_asc[s] for s in ford.ascending
-    ]
+    asc_vals = np.concatenate((ford.f_node, ford.f_asc))[ford.ascending].tolist()
     assert asc_vals == sorted(asc_vals)
-    desc_vals = [
-        ford.f_node[s] if isinstance(s, int) else ford.f_desc[s] for s in ford.descending
-    ]
+    desc_vals = np.concatenate((ford.f_node, ford.f_desc))[ford.descending].tolist()
     assert desc_vals == sorted(desc_vals, reverse=True)
 
 
@@ -128,8 +128,8 @@ def test_build_filtration_deterministic():
     f = rng.integers(0, 3, size=10).astype(float)
     a = build_filtration(g, f)
     b = build_filtration(g, f)
-    assert a.ascending == b.ascending
-    assert a.descending == b.descending
+    assert a.ascending.tolist() == b.ascending.tolist()
+    assert a.descending.tolist() == b.descending.tolist()
 
 
 def test_build_filtration_rejects_bad_filters(two_loop_graph):
@@ -137,3 +137,34 @@ def test_build_filtration_rejects_bad_filters(two_loop_graph):
         build_filtration(two_loop_graph, np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         build_filtration(two_loop_graph, np.array([1.0, 2.0, np.inf, 4.0]))
+
+
+def _tie_heavy_case(seed, n, p, levels):
+    """Random graph on n nodes (edgeless when p is 0) with integer filter values in [0, levels)."""
+    rng = np.random.default_rng(seed)
+    g = random_graph(rng, n, p)
+    return g, rng.integers(0, levels, size=n).astype(float)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.builds(
+        _tie_heavy_case,
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 14),
+        st.sampled_from([0.0, 0.2, 0.5, 0.9]),
+        st.integers(1, 4),
+    )
+)
+def test_orders_equal_the_tuple_key_reference(case):
+    g, f = case
+    ford = build_filtration(g, f)
+    ascending, descending = reference_orders(g, f)
+    assert old_form(ford, ford.ascending) == ascending
+    assert old_form(ford, ford.descending) == descending
+    edges = np.array(g.edges, dtype=int).reshape(-1, 2)
+    assert ford.f_asc.tolist() == np.maximum(f[edges[:, 0]], f[edges[:, 1]]).tolist()
+    assert ford.f_desc.tolist() == np.minimum(f[edges[:, 0]], f[edges[:, 1]]).tolist()
+    for diagram in (fast_extended_diagram, diagram_via_reduction):
+        for p in diagram(ford, keep_zero=True):
+            assert type(p.birth) is float and type(p.death) is float

@@ -10,7 +10,7 @@ from homolink.reduction import (
     reduce_matrix,
     reduction_pairs,
 )
-from oracles import random_graph, scipy_components
+from oracles import old_form, random_graph, scipy_components
 
 
 def test_sym_diff():
@@ -24,7 +24,8 @@ def test_matrix_block_structure_worked_example(two_loop_graph, two_loop_filter):
     M = build_reduction_matrix(ford)
     m = M.num_simplices
     assert m == 9 and M.size == 18
-    asc = ford.asc_index
+    asc = dict(zip(old_form(ford, range(m)), ford.asc_index.tolist()))
+    desc = dict(zip(old_form(ford, range(m)), ford.desc_index.tolist()))
     # A restricted to edge columns, rows ordered u1..u4, matches the worked 4x5 matrix
     edge_cols = [(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
     want = {
@@ -39,7 +40,7 @@ def test_matrix_block_structure_worked_example(two_loop_graph, two_loop_filter):
     # node columns empty in A, single permutation entry in the descending half
     for v in range(4):
         assert M.columns[asc[v]] == []
-        assert M.columns[m + ford.desc_index[v]] == [asc[v]]
+        assert M.columns[m + desc[v]] == [asc[v]]
 
 
 def test_matrix_single_node():
@@ -53,8 +54,9 @@ def test_matrix_edge_columns_have_two_incidences():
     ford = build_filtration(Graph(2, [(0, 1)]), np.array([0.0, 1.0]))
     M = build_reduction_matrix(ford)
     m = M.num_simplices
-    asc_edge_col = M.columns[ford.asc_index[(0, 1)]]
-    desc_edge_col = M.columns[m + ford.desc_index[(0, 1)]]
+    edge = old_form(ford, range(m)).index((0, 1))
+    asc_edge_col = M.columns[ford.asc_index[edge]]
+    desc_edge_col = M.columns[m + ford.desc_index[edge]]
     assert len(asc_edge_col) == 2
     # descending edge column: two incidences in the D block plus the P entry
     assert len([r for r in desc_edge_col if r >= m]) == 2
@@ -64,9 +66,9 @@ def test_matrix_edge_columns_have_two_incidences():
 def test_reduce_pairs_worked_example(two_loop_graph, two_loop_filter):
     ford = build_filtration(two_loop_graph, two_loop_filter)
     pairs = reduction_pairs(ford)
-    assert pairs.ascending == [(2, (0, 2)), (1, (1, 2)), (3, (0, 3))]
-    assert sorted(pairs.extended) == [((1, 3), (0, 2)), ((2, 3), (1, 2))]
-    assert pairs.essential == [(0, 3)]
+    assert old_form(ford, pairs.ascending) == [(2, (0, 2)), (1, (1, 2)), (3, (0, 3))]
+    assert sorted(old_form(ford, pairs.extended)) == [((1, 3), (0, 2)), ((2, 3), (1, 2))]
+    assert old_form(ford, pairs.essential) == [(0, 3)]
 
 
 def test_reduced_ascending_block_worked_example(two_loop_graph, two_loop_filter):
@@ -74,7 +76,7 @@ def test_reduced_ascending_block_worked_example(two_loop_graph, two_loop_filter)
     ford = build_filtration(two_loop_graph, two_loop_filter)
     M = build_reduction_matrix(ford)
     res = reduce_matrix(M)
-    asc = ford.asc_index
+    asc = dict(zip(old_form(ford, range(M.num_simplices)), ford.asc_index.tolist()))
     want = {
         (0, 2): [asc[0], asc[2]],
         (1, 2): [asc[0], asc[1]],
